@@ -54,11 +54,8 @@ def _vec_poly(ctx, v: np.ndarray) -> LinPoly:
 def modp_action_matrix(f: LinPoly) -> np.ndarray:
     """Matrix of f acting on GF(q^n) as a GF(p)-space, in the polynomial
     basis; its GF(p)-rank is e times the Dickson rank."""
-    ctx = f.ctx
-    M = np.empty((ctx.en, ctx.en), dtype=np.int64)
-    for d in range(ctx.en):
-        M[:, d] = _digits_vec(ctx, f(ctx.p ** d))
-    return M
+    cols = np.array(f.coeffs, dtype=np.int64)[:, None]
+    return linalg.qpoly_matrices(f.ctx, cols)[:, :, 0].astype(np.int64)
 
 
 # -- the code ------------------------------------------------------------------
@@ -259,13 +256,17 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
                 closed = closed and member(_poly_vec(u.compose(v)))
                 if j > i:
                     commutative = commutative and u.compose(v) == v.compose(u)
-        combos = np.indices((p,) * dim_p).reshape(dim_p, -1).T
-        vecs = (combos @ xi) % p
-        pows = ctx.p ** np.arange(en, dtype=np.int64)
-        coeffs = vecs.reshape(-1, ctx.n, en) @ pows
-        nonzero = combos.any(axis=1)
-        ranks = linalg.batch_dickson_rank(ctx, coeffs[nonzero].T)
-        all_invertible = bool((ranks == ctx.n).all())
+        # every nonzero GF(p)-combination of the basis, 2^16 at a time
+        total, slab = p ** dim_p, 1 << 16
+        place = p ** np.arange(dim_p, dtype=np.int64)
+        pows = p ** np.arange(en, dtype=np.int64)
+        for lo in range(1, total, slab):
+            idx = np.arange(lo, min(lo + slab, total), dtype=np.int64)
+            vecs = (idx[:, None] // place % p) @ xi % p
+            ranks = linalg.batch_dickson_rank(ctx, (vecs.reshape(-1, ctx.n, en) @ pows).T)
+            if (ranks < ctx.n).any():
+                all_invertible = False
+                break
     return IdealiserReport(side=side, basis=basis, dim_p=dim_p,
                            dim_q=dim_p // ctx.e, closed=closed,
                            commutative=commutative,

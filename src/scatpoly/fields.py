@@ -184,6 +184,7 @@ class FieldCtx:
         self._ppow = [p**i for i in range(self.en + 1)]
         self._mod_list = list(self.modulus)
         self._frob_mats: dict = {}
+        self._action = None
 
         self.omega = self._find_generator()
         if self.has_tables:
@@ -251,6 +252,17 @@ class FieldCtx:
             cur = _poly_mod(cur, self._mod_list, p)
             cur = list(cur) + [0] * (en - len(cur))
         return cols
+
+    def action_tensor(self) -> np.ndarray:
+        """(n*e*n, e*n, e*n) stack whose slot i*e*n + d is the matrix of
+        y -> x^d * y^(q^i) on GF(p) digit vectors; a q-polynomial's matrix
+        is the sum of the slots weighted by the digits of its coefficients.
+        Built on first use and kept."""
+        if self._action is None:
+            p, en = self.p, self.en
+            self._action = np.stack([self._mult_matrix(self._ppow[d]) @ self._frob_matrix(i) % p
+                                     for i in range(self.n) for d in range(en)])
+        return self._action
 
     # -- representation ----------------------------------------------------
 

@@ -1,16 +1,21 @@
-"""Linear-algebra kernels: batched field elimination plus small dense solvers.
+"""Linear-algebra kernels: batched rank sweeps plus small dense solvers.
 
-Batch routines work on numpy int64 arrays of element indices and need a
-table-mode context. Scalar routines work on lists of ints and run in either
-mode. The modp_* routines are plain integer elimination mod a prime, used
-where systems live over GF(p) rather than the big field.
+Batch routines take numpy int64 arrays of element indices, turn every
+matrix into its GF(p)-matrix and rank the whole batch with one lockstep
+elimination mod p; they read no field tables and run in either field mode.
+Scalar routines work on lists of ints and run in either mode. The modp_*
+routines are plain integer elimination mod a prime, used where systems
+live over GF(p) rather than the big field.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 
 import numpy as np
+
+from .errors import BadParams
 
 _FORK_JOB = None
 
@@ -42,80 +47,151 @@ def parallel_map(fn, parts, workers: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# batched elimination over GF(q^n)
+# batched elimination mod p
+#
+# A q-polynomial sum_i c_i x^(q^i) acts on GF(q^n) = GF(p)^(e*n) through the
+# matrix sum_{i,d} digit_d(c_i) * M_(p^d) * Phi^i, and a field element a
+# through M_a = sum_d digit_d(a) * M_(p^d); FieldCtx.action_tensor holds
+# those n*e*n products. Every batched rank is the GF(p) rank of such
+# matrices, divided by e (Dickson ranks) or by e*n (field matrices).
+
+
+@functools.lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """inv[a] = a^-1 mod p, with inv[0] = 0."""
+    inv = np.zeros(p, dtype=_residue_dtype(p))
+    inv[1:] = [pow(a, -1, p) for a in range(1, p)]
+    return inv
+
+
+def _residue_dtype(p: int):
+    """The narrowest integer type that holds a - b*c for residues a, b, c."""
+    if p * p <= np.iinfo(np.int16).max:
+        return np.int16
+    if p * p <= np.iinfo(np.int32).max:
+        return np.int32
+    raise BadParams(f"batched ranks need p below 46341, got p = {p}")
+
+
+def _modp_ranks(A: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of a stack A[i, j, b] of residues; A is overwritten.
+
+    Lockstep forward elimination with the batch on the last axis. Read
+    A[:, j, b] as the vectors of matrix b: step i picks in every matrix at
+    once the first unused vector with a nonzero coordinate i as the pivot,
+    and subtracts multiples of it from the other vectors to clear their
+    coordinate i, touching only the coordinates after i. A matrix with no
+    pivot at step i gets zero multipliers, so no matrix leaves the batch.
+    Rank is invariant under transposition, so either index may be the row.
+    """
+    nI, nJ, B = A.shape
+    inv = _inverses(p)
+    rank = np.zeros(B, dtype=np.int64)
+    if nJ == 0:
+        return rank
+    free = np.ones((nJ, B), dtype=bool)
+    ball = np.arange(B)
+    for i in range(nI):
+        row = A[i]
+        elig = free & (row != 0)
+        piv = elig.argmax(axis=0)
+        has = elig[piv, ball]
+        free[piv[has], ball[has]] = False
+        rank += has
+        if i + 1 == nI:
+            break
+        # vectors already used as pivots get garbage updates; they are never read again
+        fac = _reduce(row * inv[np.where(has, row[piv, ball], 0)], p)
+        rest = A[i + 1:]
+        rest -= rest[:, piv, ball][:, None, :] * fac[None]
+        _reduce(rest, p)
+    return rank
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place; floor division by a constant vectorizes where % does not."""
+    x -= x // p * p
+    return x
+
+
+def _digit_planes(vals: np.ndarray, p: int, en: int) -> np.ndarray:
+    """Base-p digits of the (K, N) element indices vals, by integer
+    division, as float planes out[k * en + d, j] for an exact contraction."""
+    rest = np.array(vals, dtype=np.int64)
+    K, N = rest.shape
+    out = np.empty((K, en, N), dtype=np.float64)
+    for d in range(en):
+        quot = rest // p
+        out[:, d] = rest - quot * p
+        rest = quot
+    return out.reshape(K * en, N)
+
+
+def _contract(T: np.ndarray, planes: np.ndarray, p: int) -> np.ndarray:
+    """T @ planes mod p in the kernel's residue type, 16 rows at a time so
+    the float and int64 temporaries stay small. The float product is exact:
+    each entry sums e*n^2 terms below p^2 < 2^31, far below 2^53."""
+    T = T.astype(np.float64)
+    out = np.empty((len(T), planes.shape[1]), dtype=_residue_dtype(p))
+    for k in range(0, len(T), 16):
+        out[k:k + 16] = _reduce((T[k:k + 16] @ planes).astype(np.int64), p)
+    return out
+
+
+def qpoly_matrices(ctx, coeff_cols: np.ndarray) -> np.ndarray:
+    """GF(p)-matrices of a batch of q-polynomials, as an (e*n, e*n, B)
+    stack of residues in the kernel's type.
+
+    coeff_cols has shape (n, B); column b holds the coefficients of the
+    b-th polynomial. Slice [:, :, b] acts on column digit vectors."""
+    p, en = ctx.p, ctx.en
+    n, B = coeff_cols.shape
+    T = ctx.action_tensor().reshape(n * en, en * en).T
+    return _contract(T, _digit_planes(coeff_cols, p, en), p).reshape(en, en, B)
 
 
 def batch_rank(ctx, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, r, c) stack of matrices over the field, via lockstep
-    Gauss-Jordan with per-matrix pivot tracking."""
-    ctx._need_tables()
-    A = np.array(mats, dtype=np.int64, copy=True)
-    B, nrows, ncols = A.shape
-    exp, log, zech = ctx._exp, ctx._log, ctx._zech
-    M = ctx.mult_order
-    half = M // 2
-    r = np.zeros(B, dtype=np.int64)
-    rows = np.arange(nrows)
-    ball = np.arange(B)
-    for j in range(ncols):
-        col = A[:, :, j]
-        elig = (rows[None, :] >= r[:, None]) & (col != 0)
-        has = elig.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(elig, axis=1)
-        b = ball[has]
-        rr = r[b]
-        pp = piv[b]
-        tmp = A[b, rr, :].copy()
-        A[b, rr, :] = A[b, pp, :]
-        A[b, pp, :] = tmp
-        # scale pivot rows so the pivot entry is 1
-        prow = A[b, rr, :]
-        pinv = -log[prow[:, j]] % M
-        lprow = (log[prow] + pinv[:, None]) % M
-        prow = np.where(prow == 0, 0, exp[lprow])
-        A[b, rr, :] = prow
-        # clear column j everywhere else in one sweep
-        colv = A[b, :, j].copy()
-        colv[np.arange(len(b)), rr] = 0
-        sc = exp[(log[colv][:, :, None] + log[prow][:, None, :]) % M]
-        sc = np.where((colv[:, :, None] == 0) | (prow[:, None, :] == 0), 0, sc)
-        negsc = np.where(sc == 0, 0, exp[(log[sc] + half) % M])
-        Ab = A[b]
-        la = log[Ab]
-        d = (log[negsc] - la) % M
-        out = np.where(d == half, 0, exp[(la + zech[d]) % M])
-        out = np.where(negsc == 0, Ab, out)
-        A[b] = np.where(Ab == 0, negsc, out)
-        r[b] = rr + 1
-    return r
+    """Ranks over the field of a (B, r, c) stack of matrices: each entry a
+    becomes its block M_a, and the GF(p) rank is e*n times the field rank."""
+    p, en = ctx.p, ctx.en
+    B, r, c = np.shape(mats)
+    T0 = ctx.action_tensor()[:en].reshape(en, en * en).T
+    entries = np.transpose(mats, (1, 2, 0)).reshape(1, r * c * B)
+    # blocks[ri, ci, rb, cb, b] = M_a[ri, ci] for a = mats[b, rb, cb]
+    blocks = _contract(T0, _digit_planes(entries, p, en), p).reshape(en, en, r, c, B)
+    A = blocks.transpose(2, 0, 3, 1, 4).reshape(r * en, c * en, B)
+    return _modp_ranks(A, p) // en
 
 
 def batch_dickson_rank(ctx, coeff_cols: np.ndarray, workers: int = 1,
                        chunk: int = 1 << 17) -> np.ndarray:
-    """Ranks of the Dickson matrices of a batch of q-polynomials.
+    """Ranks of the Dickson matrices of a batch of q-polynomials, that is
+    their ranks as GF(q)-linear maps.
 
     coeff_cols has shape (n, B): column b holds the coefficient vector of
-    the b-th polynomial. Entry (i, j) of each Dickson matrix is
-    c[(j - i) mod n] ^ (q^i).
+    the b-th polynomial. Works in either field mode.
     """
-    ctx._need_tables()
     n, B = coeff_cols.shape
+    if B == 0:
+        return np.zeros(0, dtype=np.int64)
     parts = [(lo, min(lo + chunk, B)) for lo in range(0, B, chunk)]
 
     def run(part):
         lo, hi = part
-        C = coeff_cols[:, lo:hi]
-        m = hi - lo
-        A = np.empty((m, n, n), dtype=np.int64)
-        rowsrc = C
-        for i in range(n):
-            A[:, i, :] = rowsrc[(np.arange(n) - i) % n].T
-            rowsrc = ctx.vfrob(rowsrc, 1)
-        return batch_rank(ctx, A)
+        return _modp_ranks(qpoly_matrices(ctx, coeff_cols[:, lo:hi]), ctx.p) // ctx.e
 
     return np.concatenate(parallel_map(run, parts, workers))
+
+
+def sweep_slices(total: int):
+    """Ascending (lo, hi) slices covering range(total) for sweeps that stop
+    at their first hit: 2^8 long at first, doubling up to 2^16, so an early
+    hit is found after a small batch and a full sweep runs in large ones."""
+    lo, size = 0, 1 << 8
+    while lo < total:
+        hi = min(lo + size, total)
+        yield lo, hi
+        lo, size = hi, min(2 * size, 1 << 16)
 
 
 # ---------------------------------------------------------------------------

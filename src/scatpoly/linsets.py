@@ -132,10 +132,9 @@ def inclusion_dickson(f: LinPoly, g: LinPoly, workers: int = 1) -> bool:
     n, M = ctx.n, ctx.order
     xs = np.arange(1, M, dtype=np.int64)
     fx = f.eval_vec(xs)
-    chunk = 1 << 16
-    for lo in range(0, M - 1, chunk):
-        sl = slice(lo, min(lo + chunk, M - 1))
-        cols = np.empty((n, sl.stop - sl.start), dtype=np.int64)
+    for lo, hi in linalg.sweep_slices(M - 1):
+        sl = slice(lo, hi)
+        cols = np.empty((n, hi - lo), dtype=np.int64)
         cols[0] = ctx.vsub(fx[sl], ctx.vscale(g.coeffs[0], xs[sl]))
         for i in range(1, n):
             cols[i] = ctx.vneg(ctx.vscale(g.coeffs[i], xs[sl]))

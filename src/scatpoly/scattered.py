@@ -142,7 +142,7 @@ def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None, workers: int = 1,
     if ms is None:
         ms = np.arange(ctx.order, dtype=np.int64)
     n = ctx.n
-    out = []
+    out = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(ms), chunk):
         part = ms[lo:lo + chunk]
         cols = np.empty((n, len(part)), dtype=np.int64)
@@ -156,13 +156,12 @@ def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None, workers: int = 1,
 def is_scattered_ranks(f: LinPoly, workers: int = 1) -> ScatterVerdict:
     """Sweep every shift m and test dim ker(f + m*id) <= 1 via Dickson
     ranks. Independent of the fiber counter; same verdict contract.
-    Stops at the first violating chunk, so the full sweep cost is paid
-    only on scattered inputs."""
+    Stops after the first slice with a violation, so the full sweep cost
+    is paid only on scattered inputs."""
     ctx = f.ctx
-    chunk = 1 << 16
     m = None
-    for lo in range(0, ctx.order, chunk):
-        ms = np.arange(lo, min(lo + chunk, ctx.order), dtype=np.int64)
+    for lo, hi in linalg.sweep_slices(ctx.order):
+        ms = np.arange(lo, hi, dtype=np.int64)
         ranks = shift_ranks(f, ms, workers=workers)
         bad = np.flatnonzero(ranks < ctx.n - 1)
         if len(bad):
@@ -189,9 +188,8 @@ def nonscattered_witness_search(f: LinPoly, workers: int = 1
     js = np.arange(1, M, dtype=np.int64)
     js = js[js % step != 0]
     n = ctx.n
-    chunk = 1 << 16
-    for lo in range(0, len(js), chunk):
-        rhos = ctx._exp[js[lo:lo + chunk]]
+    for lo, hi in linalg.sweep_slices(len(js)):
+        rhos = ctx._exp[js[lo:hi]]
         cols = np.empty((n, len(rhos)), dtype=np.int64)
         cur = rhos
         for i in range(n):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from scatpoly.errors import BadHypotheses, CtxMismatch
+from scatpoly import linalg
+from scatpoly.fields import build_field
 from scatpoly.codes import (
     adjoint_code,
     build_code,
@@ -166,3 +168,29 @@ def test_count_new_codes_hypotheses():
         count_new_codes(15, 3)
     with pytest.raises(BadHypotheses):
         count_new_codes(3, 3)  # odd t needs q = 1 mod 4
+
+
+def test_idealiser_flags_on_a_large_idealiser(ctx53):
+    # psi_t(x) = x^(q^t), so the code {a x^(q^t) + b x} is its own left
+    # idealiser: 5^12 elements, among them x + x^(q^t), which kills W
+    rep = idealiser(build_code(build_psi(ctx53, ctx53.t)), "left")
+    assert rep.dim_p == 2 * ctx53.n
+    assert rep.all_invertible is False and rep.is_field is False
+
+
+def test_idealiser_flags_span_several_slabs(monkeypatch):
+    # psi_1 at (5, 4) is scattered, so its code is MRD and the left
+    # idealiser is a field (Lunardon-Trombetti-Zhou 2017): all 5^8 - 1
+    # nonzero elements are invertible, ranked at most 2^16 at a time
+    sizes = []
+    rank = linalg.batch_dickson_rank
+
+    def counted(ctx, cols, *args, **kwargs):
+        sizes.append(cols.shape[1])
+        return rank(ctx, cols, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "batch_dickson_rank", counted)
+    ctx = build_field(5, 1, 4)
+    rep = idealiser(build_code(build_psi(ctx, 1)), "left")
+    assert rep.all_invertible is True and rep.is_field is True
+    assert sum(sizes) == ctx.p ** rep.dim_p - 1 and max(sizes) <= 1 << 16

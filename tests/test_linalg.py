@@ -1,6 +1,12 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scatpoly.errors import BadParams
+from scatpoly.fields import build_field
 from scatpoly.linalg import (
+    _residue_dtype,
     batch_dickson_rank,
     batch_rank,
     field_nullspace,
@@ -9,8 +15,19 @@ from scatpoly.linalg import (
     modp_nullspace,
     modp_rref,
     parallel_map,
+    sweep_slices,
 )
 from scatpoly.linpoly import LinPoly
+from scatpoly.scattered import build_psi, shift_ranks
+
+# fixed examples, so every run checks the same inputs
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+def _elements(ctx):
+    """Field elements, with 0 and 1 drawn often so sparse and low-rank
+    inputs come up."""
+    return st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
 
 
 def _random_rows(ctx, rng, shape):
@@ -74,6 +91,99 @@ def test_batch_dickson_rank_matches_linpoly_rank(ctx33):
     for j in range(12):
         f = LinPoly(ctx33, [int(c) for c in coeffs[:, j]])
         assert got[j] == f.rank()
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@PROPERTY
+@given(data=st.data())
+def test_batch_dickson_rank_matches_oracle_on_planted_kernels(pet, data):
+    ctx = build_field(*pet)
+    polys = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        f = LinPoly(ctx, data.draw(st.lists(_elements(ctx), min_size=ctx.n,
+                                            max_size=ctx.n)))
+        x = data.draw(st.integers(1, ctx.order - 1))
+        # f + m*id with m = -f(x)/x maps x to 0, so its rank is below n
+        m = ctx.neg(ctx.div(f(x), x))
+        polys += [f, f + LinPoly.monomial(ctx, m, 0)]
+    cols = np.array([g.coeffs for g in polys], dtype=np.int64).T
+    got = batch_dickson_rank(ctx, cols)
+    assert got.tolist() == [g.rank() for g in polys]
+    assert (got[1::2] < ctx.n).all()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_batch_rank_matches_field_rank_non_square(data):
+    ctx = build_field(5, 1, 3)
+    r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    mat = st.lists(st.lists(_elements(ctx), min_size=c, max_size=c),
+                   min_size=r, max_size=r)
+    mats = data.draw(st.lists(mat, min_size=1, max_size=5)) + [[[0] * c] * r]
+    got = batch_rank(ctx, np.array(mats, dtype=np.int64))
+    assert got.tolist() == [field_rank(ctx, m) for m in mats]
+    assert got[-1] == 0
+
+
+@PROPERTY
+@given(data=st.data())
+def test_batch_dickson_rank_needs_no_tables(data):
+    pet = data.draw(st.sampled_from([(3, 1, 3), (3, 2, 3)]))
+    ctx, bare = build_field(*pet), build_field(*pet, use_tables=False)
+    assert not bare.has_tables and bare.modulus == ctx.modulus
+    f = build_psi(ctx, data.draw(st.integers(1, ctx.n - 1)))
+    ms = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=40))
+    cols = np.tile(np.array(f.coeffs, dtype=np.int64)[:, None], (1, len(ms)))
+    cols[0] = [ctx.add(f.coeffs[0], m) for m in ms]
+    assert np.array_equal(batch_dickson_rank(bare, cols), batch_dickson_rank(ctx, cols))
+
+
+def test_batch_dickson_rank_int32_residues():
+    # p^2 > 2^15, so the kernel stores int32; p^6 needs no tables
+    ctx = build_field(191, 1, 3, use_tables=False)
+    assert _residue_dtype(ctx.p) is np.int32 and _residue_dtype(181) is np.int16
+    rng = np.random.default_rng(6)
+    polys = []
+    for _ in range(3):
+        f = LinPoly(ctx, [int(c) for c in rng.integers(0, ctx.order, size=ctx.n)])
+        x = int(rng.integers(1, ctx.order))
+        polys += [f, f + LinPoly.monomial(ctx, ctx.neg(ctx.div(f(x), x)), 0)]
+    cols = np.array([g.coeffs for g in polys], dtype=np.int64).T
+    assert batch_dickson_rank(ctx, cols).tolist() == [g.rank() for g in polys]
+    # beyond this p the products a - b*c of residues overflow int32
+    with pytest.raises(BadParams):
+        _residue_dtype(46349)
+
+
+def test_shift_ranks_same_bytes_with_two_workers(ctx34):
+    f = build_psi(ctx34, 2)
+    one = shift_ranks(f, workers=1)
+    assert shift_ranks(f, workers=2).tobytes() == one.tobytes()
+    # shift_ranks hands each call fewer than one chunk; small chunks make
+    # the pool run the kernel on several parts
+    cols = np.tile(np.array(f.coeffs, dtype=np.int64)[:, None], (1, ctx34.order))
+    cols[0] = [ctx34.add(f.coeffs[0], m) for m in range(ctx34.order)]
+    par = batch_dickson_rank(ctx34, cols, workers=2, chunk=1000)
+    assert par.tobytes() == one.tobytes()
+
+
+def test_shift_ranks_empty_batch(ctx33):
+    out = shift_ranks(build_psi(ctx33, 1), np.zeros(0, dtype=np.int64))
+    assert out.dtype == np.int64 and out.shape == (0,)
+
+
+def test_batch_dickson_rank_empty_batch(ctx33):
+    out = batch_dickson_rank(ctx33, np.zeros((ctx33.n, 0), dtype=np.int64))
+    assert out.dtype == np.int64 and out.shape == (0,)
+
+
+def test_sweep_slices_ascending_and_doubling():
+    slices = list(sweep_slices(300_000))
+    assert slices[0] == (0, 256) and slices[-1][1] == 300_000
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+    sizes = [hi - lo for lo, hi in slices[:-1]]
+    assert sizes[:9] == [256 << i for i in range(9)] and set(sizes[8:]) == {1 << 16}
+    assert list(sweep_slices(100)) == [(0, 100)] and list(sweep_slices(0)) == []
 
 
 def test_parallel_map_reducer():
