@@ -5,7 +5,7 @@ from .errors import (ScatpolyError, NonPrimeP, EvenP, TSmall,
                      ReducibleModulus, CtxMismatch, BadK, BadParams,
                      BudgetExceeded, NotScattered, BadHypotheses,
                      NotDisjointFromSigma)
-from .fields import FieldSpec, FieldCtx, build_field, build_field_from_spec
+from .fields import FieldSpec, FieldCtx, build_field
 from .linpoly import LinPoly
 from .scattered import (alpha_poly, beta_poly, build_psi, theorem_predicate,
                         ScatterVerdict, is_scattered_fibers,
@@ -33,7 +33,7 @@ __all__ = [
     "ScatpolyError", "NonPrimeP", "EvenP", "TSmall", "ReducibleModulus",
     "CtxMismatch", "BadK", "BadParams", "BudgetExceeded", "NotScattered",
     "BadHypotheses", "NotDisjointFromSigma",
-    "FieldSpec", "FieldCtx", "build_field", "build_field_from_spec",
+    "FieldSpec", "FieldCtx", "build_field",
     "LinPoly",
     "alpha_poly", "beta_poly", "build_psi", "theorem_predicate",
     "ScatterVerdict", "is_scattered_fibers", "is_scattered_ranks",

@@ -60,7 +60,7 @@ class CriterionResult:
 
 # -- criteria -------------------------------------------------------------------
 
-def _c_order(workers: int) -> _Run:
+def _c_order() -> _Run:
     run = _Run()
     for q, t in ((3, 3), (5, 3), (3, 4), (3, 5)):
         ctx = build_field(q, 1, t)
@@ -72,7 +72,7 @@ def _c_order(workers: int) -> _Run:
     return run
 
 
-def _c_grid(workers: int) -> _Run:
+def _c_grid() -> _Run:
     run = _Run()
     bounds = {(5, 3): 5.0, (5, 4): 120.0}
     for q, t in ((5, 3), (13, 3), (3, 4), (5, 4), (3, 5)):
@@ -84,8 +84,7 @@ def _c_grid(workers: int) -> _Run:
             run.check(f"fiber checker matches predicate ({q},{t},k={k})",
                       scattered.is_scattered_fibers(f).scattered == pred)
             run.check(f"rank checker matches predicate ({q},{t},k={k})",
-                      scattered.is_scattered_ranks(f, workers=workers).scattered
-                      == pred)
+                      scattered.is_scattered_ranks(f).scattered == pred)
         dt = perf_counter() - t0
         if (q, t) in bounds:
             run.check(f"({q},{t}) sweep within {bounds[(q, t)]:.0f}s",
@@ -93,7 +92,7 @@ def _c_grid(workers: int) -> _Run:
     return run
 
 
-def _c_witness(workers: int) -> _Run:
+def _c_witness() -> _Run:
     run = _Run()
     jobs = ((3, 3, 1), (5, 3, 2))
     ctxs = {(q, t): build_field(q, 1, t) for q, t, _ in jobs}
@@ -101,7 +100,7 @@ def _c_witness(workers: int) -> _Run:
     for q, t, k in jobs:
         ctx = ctxs[(q, t)]
         f = scattered.build_psi(ctx, k)
-        w = scattered.nonscattered_witness_search(f, workers=workers)
+        w = scattered.nonscattered_witness_search(f)
         run.check(f"violating pair found at ({q},{t},k={k})", w is not None)
         if w is not None:
             rho, x = w
@@ -118,7 +117,7 @@ def _c_witness(workers: int) -> _Run:
     return run
 
 
-def _c_size(workers: int) -> _Run:
+def _c_size() -> _Run:
     run = _Run()
     ctx = build_field(5, 1, 3)
     t0 = perf_counter()
@@ -128,7 +127,7 @@ def _c_size(workers: int) -> _Run:
     return run
 
 
-def _c_baer(workers: int) -> _Run:
+def _c_baer() -> _Run:
     run = _Run()
     grids = {(5, 3): (62, 31, 31), (3, 4): (80, 40, 40)}
     ctxs = {pt: build_field(pt[0], 1, pt[1]) for pt in grids}
@@ -144,12 +143,12 @@ def _c_baer(workers: int) -> _Run:
     return run
 
 
-def _c_mrd(workers: int) -> _Run:
+def _c_mrd() -> _Run:
     run = _Run()
     ctx = build_field(5, 1, 3)
     t0 = perf_counter()
     c1 = codes.build_code(scattered.build_psi(ctx, 1))
-    d = codes.min_rank_distance(c1, workers=workers)
+    d = codes.min_rank_distance(c1)
     run.check("distance 5 over 15626 classes",
               d == 5 and ctx.order + 1 == 15626)
     run.check("code size 5^12", c1.size == 5 ** 12)
@@ -158,12 +157,12 @@ def _c_mrd(workers: int) -> _Run:
               and codes.is_mrd(c1))
     c2 = codes.build_code(scattered.build_psi(ctx, 2))
     run.check("second composition fails the bound",
-              not codes.is_mrd(c2, workers=workers))
+              not codes.is_mrd(c2))
     run.check("distance block within 30s", perf_counter() - t0 < 30.0)
     return run
 
 
-def _c_idealiser(workers: int) -> _Run:
+def _c_idealiser() -> _Run:
     # The idealisers of an MRD code are fields (Lunardon-Trombetti-Zhou,
     # "On kernels and nuclei of rank metric codes", 2017). On the left,
     # GF(q^n) acts as scalars. On the right, when t is even, every lambda in
@@ -206,7 +205,7 @@ def _c_idealiser(workers: int) -> _Run:
     return run
 
 
-def _c_geometry(workers: int) -> _Run:
+def _c_geometry() -> _Run:
     run = _Run()
     ctx = build_field(3, 1, 4)
     t0 = perf_counter()
@@ -223,7 +222,7 @@ def _c_geometry(workers: int) -> _Run:
     return run
 
 
-def _c_projection(workers: int) -> _Run:
+def _c_projection() -> _Run:
     run = _Run()
     ctx = build_field(3, 1, 3)
     t0 = perf_counter()
@@ -241,7 +240,7 @@ def _c_projection(workers: int) -> _Run:
     return run
 
 
-def _c_equivalence(workers: int) -> _Run:
+def _c_equivalence() -> _Run:
     run = _Run()
     ctx = build_field(3, 1, 4)
     t0 = perf_counter()
@@ -293,7 +292,7 @@ def _c_equivalence(workers: int) -> _Run:
     return run
 
 
-def _c_oracle(workers: int) -> _Run:
+def _c_oracle() -> _Run:
     run = _Run()
     ctx = build_field(3, 1, 3)
     t0 = perf_counter()
@@ -317,8 +316,8 @@ def _c_oracle(workers: int) -> _Run:
         truth_fg = bool(np.isin(Lf, Lg).all())
         truth_gf = bool(np.isin(Lg, Lf).all())
         run.check(f"determinant inclusion matches set oracle, pair {i}",
-                  linsets.inclusion_dickson(f, g, workers=workers) == truth_fg
-                  and linsets.inclusion_dickson(g, f, workers=workers) == truth_gf)
+                  linsets.inclusion_dickson(f, g) == truth_fg
+                  and linsets.inclusion_dickson(g, f) == truth_gf)
         if np.array_equal(Lf, Lg):
             equal_seen += 1
             run.check(f"coefficient filter keeps equal-set pair {i}",
@@ -328,7 +327,7 @@ def _c_oracle(workers: int) -> _Run:
     return run
 
 
-CRITERIA: Tuple[Tuple[str, Callable[[int], _Run]], ...] = (
+CRITERIA: Tuple[Tuple[str, Callable[[], _Run]], ...] = (
     ("order", _c_order),
     ("grid", _c_grid),
     ("witness", _c_witness),
@@ -345,15 +344,15 @@ CRITERIA: Tuple[Tuple[str, Callable[[int], _Run]], ...] = (
 SLUGS = tuple(slug for slug, _ in CRITERIA)
 
 
-def run_criterion(slug: str, workers: int = 1) -> CriterionResult:
+def run_criterion(slug: str) -> CriterionResult:
     fn = dict(CRITERIA)[slug]
     t0 = perf_counter()
-    run = fn(workers)
+    run = fn()
     return CriterionResult(slug=slug, ok=run.ok, seconds=perf_counter() - t0,
                            checks=run.checks, failed=tuple(run.failed))
 
 
-def run_acceptance(only: Optional[str] = None, workers: int = 1,
+def run_acceptance(only: Optional[str] = None,
                    report: Optional[Callable[[CriterionResult], None]] = None
                    ) -> List[CriterionResult]:
     if only is not None and only not in SLUGS:
@@ -362,7 +361,7 @@ def run_acceptance(only: Optional[str] = None, workers: int = 1,
     for slug, _ in CRITERIA:
         if only is not None and slug != only:
             continue
-        res = run_criterion(slug, workers=workers)
+        res = run_criterion(slug)
         results.append(res)
         if report is not None:
             report(res)

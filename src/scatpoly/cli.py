@@ -93,12 +93,12 @@ def cmd_verify_scattered(args) -> int:
     f = scattered.build_psi(ctx, args.k)
     pred = scattered.theorem_predicate(ctx, args.k)
     vf = scattered.is_scattered_fibers(f)
-    vr = scattered.is_scattered_ranks(f, workers=args.workers)
+    vr = scattered.is_scattered_ranks(f)
     payload = {"schema": 1, "field": _field_block(ctx), "k": args.k,
                "predicate": pred, "fibers": vf.to_json(), "ranks": vr.to_json(),
                "agree": vf.scattered == pred and vr.scattered == pred}
     if not vf.scattered:
-        w = scattered.nonscattered_witness_search(f, workers=args.workers)
+        w = scattered.nonscattered_witness_search(f)
         payload["scaling_witness"] = (None if w is None
                                       else {"rho": w[0], "x": w[1]})
     _emit_json(payload, args.out)
@@ -108,7 +108,7 @@ def cmd_verify_scattered(args) -> int:
 def cmd_code_report(args) -> int:
     ctx = _build_ctx(args)
     code = codes.build_code(scattered.build_psi(ctx, args.k))
-    dist = codes.rank_distribution(code, workers=args.workers)
+    dist = codes.rank_distribution(code)
     if args.format == "csv":
         rows = "".join(f"{r},{c}\n" for r, c in dist.csv_rows())
         _emit("rank,count\n" + rows, args.out)
@@ -169,16 +169,6 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    if args.format == "csv":
-        raise ValueError("csv output is only available for rank distributions"
-                         " (code-report)")
-    if any(v is not None for v in (args.p, args.t, args.modulus_file)) \
-            or args.e != 1:
-        # an injected field configuration is validated up front; bad
-        # parameters mark the whole suite invalid-config
-        build_field(args.p if args.p is not None else 3, args.e,
-                    args.t if args.t is not None else 3,
-                    modulus=_read_modulus(args.modulus_file))
     lines = []
 
     def report(res):
@@ -186,8 +176,7 @@ def cmd_acceptance(args) -> int:
         if args.out is None and args.format != "json":
             print(res.line(), flush=True)
 
-    results = acceptance.run_acceptance(only=args.only, workers=args.workers,
-                                        report=report)
+    results = acceptance.run_acceptance(only=args.only, report=report)
     passed = sum(1 for r in results if r.ok)
     summary = f"passed {passed}/{len(results)} criteria"
     if args.format == "json":
@@ -202,17 +191,15 @@ def cmd_acceptance(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def _add_common(sp, field_required=True):
-    sp.add_argument("--p", type=int, required=field_required,
+def _add_common(sp):
+    sp.add_argument("--p", type=int, required=True,
                     help="characteristic (odd prime)")
     sp.add_argument("--e", type=int, default=1, help="q = p^e")
-    sp.add_argument("--t", type=int, required=field_required,
+    sp.add_argument("--t", type=int, required=True,
                     help="half the tower degree, n = 2t")
     sp.add_argument("--modulus-file", default=None,
                     help="file of modulus coefficients (ascending, "
                          "whitespace or comma separated)")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=linsets.DEFAULT_BUDGET)
     sp.add_argument("--out", default=None, help="write the report here")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -246,6 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "| u5:H")
     sp.add_argument("--right", required=True,
                     help="same grammar, or pseudoregulus | lp-type")
+    sp.add_argument("--budget", type=int, default=linsets.DEFAULT_BUDGET,
+                    help="largest search space q^(2n) the exhaustive "
+                         "search may take on; above it, exit 3")
     sp.set_defaults(fn=cmd_equiv)
 
     sp = sub.add_parser("geometry",
@@ -256,11 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_geometry)
 
     sp = sub.add_parser("acceptance", help="run the verification criteria")
-    _add_common(sp, field_required=False)
     sp.add_argument("--only", default=None, choices=acceptance.SLUGS,
                     help="run a single criterion")
-    # status lines by default; --format json for the structured report
-    sp.set_defaults(fn=cmd_acceptance, format="text")
+    sp.add_argument("--out", default=None, help="write the report here")
+    sp.add_argument("--format", choices=("text", "json"), default="text",
+                    help="status lines, or the structured report")
+    sp.set_defaults(fn=cmd_acceptance)
     return parser
 
 

@@ -124,13 +124,13 @@ class RankDistribution:
         return [(r, c) for r, c in enumerate(self.counts)]
 
 
-def rank_distribution(code: RankCode, workers: int = 1) -> RankDistribution:
+def rank_distribution(code: RankCode) -> RankDistribution:
     """Exact distribution from the projective representatives: each class
     (1, b) or (0, 1) contributes q^n - 1 scalings of one rank, plus the
     zero word."""
     if code._dist is None:
         ctx = code.ctx
-        ranks = shift_ranks(code.f, workers=workers)
+        ranks = shift_ranks(code.f)
         counts = [0] * (ctx.n + 1)
         counts[0] = 1
         scalings = ctx.order - 1
@@ -141,18 +141,18 @@ def rank_distribution(code: RankCode, workers: int = 1) -> RankDistribution:
     return code._dist
 
 
-def min_rank_distance(code: RankCode, workers: int = 1) -> int:
+def min_rank_distance(code: RankCode) -> int:
     """Minimum rank over nonzero codewords."""
-    dist = rank_distribution(code, workers=workers)
+    dist = rank_distribution(code)
     return next(r for r in range(1, code.ctx.n + 1) if dist[r] > 0)
 
 
-def is_mrd(code: RankCode, workers: int = 1) -> bool:
+def is_mrd(code: RankCode) -> bool:
     """True iff the code size meets q^(n*(n-d+1)), i.e. d = n - 1 for these
     two-generator codes."""
     if code.degenerate:
         return False
-    return min_rank_distance(code, workers=workers) == code.ctx.n - 1
+    return min_rank_distance(code) == code.ctx.n - 1
 
 
 def adjoint_code(code: RankCode) -> RankCode:
@@ -256,12 +256,12 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
                 closed = closed and member(_poly_vec(u.compose(v)))
                 if j > i:
                     commutative = commutative and u.compose(v) == v.compose(u)
-        # every nonzero GF(p)-combination of the basis, 2^16 at a time
-        total, slab = p ** dim_p, 1 << 16
+        # every nonzero GF(p)-combination of the basis, up to the first
+        # singular one
         place = p ** np.arange(dim_p, dtype=np.int64)
         pows = p ** np.arange(en, dtype=np.int64)
-        for lo in range(1, total, slab):
-            idx = np.arange(lo, min(lo + slab, total), dtype=np.int64)
+        for lo, hi in linalg.sweep_slices(p ** dim_p - 1):
+            idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
             vecs = (idx[:, None] // place % p) @ xi % p
             ranks = linalg.batch_dickson_rank(ctx, (vecs.reshape(-1, ctx.n, en) @ pows).T)
             if (ranks < ctx.n).any():

@@ -526,7 +526,3 @@ def build_field(p: int, e: int, t: int, modulus=None,
                    use_tables=use_tables)
     _CTX_CACHE[key] = ctx
     return ctx
-
-
-def build_field_from_spec(spec: FieldSpec, use_tables: Optional[bool] = None) -> FieldCtx:
-    return build_field(spec.p, spec.e, spec.t, modulus=spec.modulus, use_tables=use_tables)

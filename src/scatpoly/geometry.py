@@ -43,10 +43,6 @@ class ProjSubspace:
         raise AttributeError("ProjSubspace is immutable")
 
     @classmethod
-    def from_equations(cls, ctx, rows) -> "ProjSubspace":
-        return cls(ctx, rows)
-
-    @classmethod
     def from_basis(cls, ctx, rows) -> "ProjSubspace":
         """Subspace spanned by the given coordinate vectors."""
         return cls(ctx, linalg.field_nullspace(ctx, [list(r) for r in rows]))
@@ -164,7 +160,7 @@ def gamma_k(ctx, k: int) -> ProjSubspace:
     return ProjSubspace(ctx, [eq0, row])
 
 
-def meets_sigma_orbit(S: ProjSubspace, chunk: int = 1 << 18) -> Optional[int]:
+def meets_sigma_orbit(S: ProjSubspace) -> Optional[int]:
     """First u != 0 with P_u in S, or None when S misses the whole orbit.
 
     Each equation row e, read as the q-polynomial sum_i e_i x^(q^i),
@@ -175,8 +171,9 @@ def meets_sigma_orbit(S: ProjSubspace, chunk: int = 1 << 18) -> Optional[int]:
     if not S.equations:
         return 1 if ctx.order > 1 else None
     polys = [LinPoly(ctx, eq) for eq in S.equations]
-    for lo in range(1, ctx.order, chunk):
-        us = np.arange(lo, min(lo + chunk, ctx.order), dtype=np.int64)
+    step = 1 << 18
+    for lo in range(1, ctx.order, step):
+        us = np.arange(lo, min(lo + step, ctx.order), dtype=np.int64)
         mask = np.ones(len(us), dtype=bool)
         for f in polys:
             mask &= f.eval_vec(us) == 0

@@ -11,39 +11,13 @@ live over GF(p) rather than the big field.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 
 import numpy as np
 
 from .errors import BadParams
 
-_FORK_JOB = None
-
-
-def _job_runner(part):
-    return _FORK_JOB(part)
-
-
-def parallel_map(fn, parts, workers: int = 1):
-    """Map fn over parts, optionally on a fork-based worker pool.
-
-    Results come back in submission order, so output is independent of
-    worker count. Falls back to serial where fork is unavailable.
-    """
-    parts = list(parts)
-    if workers <= 1 or len(parts) <= 1:
-        return [fn(p) for p in parts]
-    global _FORK_JOB
-    try:
-        mp = multiprocessing.get_context("fork")
-    except ValueError:
-        return [fn(p) for p in parts]
-    _FORK_JOB = fn
-    try:
-        with mp.Pool(min(workers, len(parts))) as pool:
-            return pool.map(_job_runner, parts)
-    finally:
-        _FORK_JOB = None
+# the largest batch any sweep hands the kernel at once
+SLICE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +137,25 @@ def batch_rank(ctx, mats: np.ndarray) -> np.ndarray:
     return _modp_ranks(A, p) // en
 
 
-def batch_dickson_rank(ctx, coeff_cols: np.ndarray, workers: int = 1,
-                       chunk: int = 1 << 17) -> np.ndarray:
+def batch_dickson_rank(ctx, coeff_cols: np.ndarray) -> np.ndarray:
     """Ranks of the Dickson matrices of a batch of q-polynomials, that is
     their ranks as GF(q)-linear maps.
 
     coeff_cols has shape (n, B): column b holds the coefficient vector of
     the b-th polynomial. Works in either field mode.
     """
-    n, B = coeff_cols.shape
-    if B == 0:
-        return np.zeros(0, dtype=np.int64)
-    parts = [(lo, min(lo + chunk, B)) for lo in range(0, B, chunk)]
-
-    def run(part):
-        lo, hi = part
-        return _modp_ranks(qpoly_matrices(ctx, coeff_cols[:, lo:hi]), ctx.p) // ctx.e
-
-    return np.concatenate(parallel_map(run, parts, workers))
+    return _modp_ranks(qpoly_matrices(ctx, coeff_cols), ctx.p) // ctx.e
 
 
 def sweep_slices(total: int):
     """Ascending (lo, hi) slices covering range(total) for sweeps that stop
-    at their first hit: 2^8 long at first, doubling up to 2^16, so an early
+    at their first hit: 2^8 long at first, doubling up to SLICE, so an early
     hit is found after a small batch and a full sweep runs in large ones."""
     lo, size = 0, 1 << 8
     while lo < total:
         hi = min(lo + size, total)
         yield lo, hi
-        lo, size = hi, min(2 * size, 1 << 16)
+        lo, size = hi, min(2 * size, SLICE)
 
 
 # ---------------------------------------------------------------------------

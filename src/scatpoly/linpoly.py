@@ -110,11 +110,21 @@ class LinPoly:
                 cur = ctx.vfrob(cur, 1)
         return out
 
-    def line_values(self) -> np.ndarray:
-        """Sorted distinct values of f(x)/x over nonzero x."""
+    def _fibers(self):
+        """(vals, uniq, counts): vals[i] = f(x)/x at x = i + 1 for every
+        nonzero x, uniq its sorted distinct values and counts the size of
+        each value's fiber."""
         ctx = self.ctx
         xs = np.arange(1, ctx.order, dtype=np.int64)
-        return np.unique(ctx.vmul(self.eval_vec(xs), ctx.vinv(xs)))
+        vals = ctx.vmul(self.eval_vec(xs), ctx.vinv(xs))
+        # return_counts makes numpy sort; without it numpy 2.3 and later
+        # hash, which is far slower on arrays of this size
+        uniq, counts = np.unique(vals, return_counts=True)
+        return vals, uniq, counts
+
+    def line_values(self) -> np.ndarray:
+        """Sorted distinct values of f(x)/x over nonzero x."""
+        return self._fibers()[1]
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -172,11 +182,7 @@ class LinPoly:
     def fiber_histogram(self) -> Counter:
         """Multiset of fiber sizes of x -> f(x)/x on nonzero x, as a Counter
         mapping fiber size to the number of fibers of that size."""
-        ctx = self.ctx
-        xs = np.arange(1, ctx.order, dtype=np.int64)
-        vals = ctx.vmul(self.eval_vec(xs), ctx.vinv(xs))
-        _, counts = np.unique(vals, return_counts=True)
-        sizes, mult = np.unique(counts, return_counts=True)
+        sizes, mult = np.unique(self._fibers()[2], return_counts=True)
         return Counter({int(s): int(m) for s, m in zip(sizes, mult)})
 
     # -- serialization ------------------------------------------------------

@@ -122,7 +122,7 @@ def known_family(ctx, name: str, **params) -> LinPoly:
 
 # -- set-level comparisons -------------------------------------------------------
 
-def inclusion_dickson(f: LinPoly, g: LinPoly, workers: int = 1) -> bool:
+def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
     """L_f subset of L_g, decided without enumerating L_g's fibers: the point
     of L_f at x lies in L_g iff Y -> f(x)*Y - g(Y)*x has nonzero kernel,
     i.e. iff its Dickson matrix is singular. Batched over all nonzero x."""
@@ -138,7 +138,7 @@ def inclusion_dickson(f: LinPoly, g: LinPoly, workers: int = 1) -> bool:
         cols[0] = ctx.vsub(fx[sl], ctx.vscale(g.coeffs[0], xs[sl]))
         for i in range(1, n):
             cols[i] = ctx.vneg(ctx.vscale(g.coeffs[i], xs[sl]))
-        ranks = linalg.batch_dickson_rank(ctx, cols, workers=workers)
+        ranks = linalg.batch_dickson_rank(ctx, cols)
         if np.any(ranks == n):
             return False
     return True

@@ -123,37 +123,34 @@ def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
     iff there are (q^n - 1)/(q - 1) of them. On failure returns the fiber
     witness associated with the smallest oversized value."""
     ctx = f.ctx
-    xs = np.arange(1, ctx.order, dtype=np.int64)
-    vals = ctx.vmul(f.eval_vec(xs), ctx.vinv(xs))
-    uniq, counts = np.unique(vals, return_counts=True)
+    vals, uniq, counts = f._fibers()
     expected = (ctx.order - 1) // (ctx.q - 1)
     if len(uniq) == expected:
         return ScatterVerdict(True, "fibers", None, int(len(uniq)), None)
     v = uniq[np.flatnonzero(counts > ctx.q - 1)[0]]
-    witness = _witness_in_fiber(ctx, xs[vals == v])
+    witness = _witness_in_fiber(ctx, np.flatnonzero(vals == v) + 1)
     return ScatterVerdict(False, "fibers", witness, int(len(uniq)), None)
 
 
-def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None, workers: int = 1,
-                chunk: int = 1 << 16) -> np.ndarray:
+def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
     """Ranks of f + m*id for every shift m in ms (all field elements when
-    ms is None), computed in batched Dickson form."""
+    ms is None), computed in batched Dickson form, linalg.SLICE at a time."""
     ctx = f.ctx
     if ms is None:
         ms = np.arange(ctx.order, dtype=np.int64)
     n = ctx.n
     out = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(ms), chunk):
-        part = ms[lo:lo + chunk]
+    for lo in range(0, len(ms), linalg.SLICE):
+        part = ms[lo:lo + linalg.SLICE]
         cols = np.empty((n, len(part)), dtype=np.int64)
         cols[0] = ctx.vadd(np.full(len(part), f.coeffs[0], dtype=np.int64), part)
         for i in range(1, n):
             cols[i] = f.coeffs[i]
-        out.append(linalg.batch_dickson_rank(ctx, cols, workers=workers))
+        out.append(linalg.batch_dickson_rank(ctx, cols))
     return np.concatenate(out)
 
 
-def is_scattered_ranks(f: LinPoly, workers: int = 1) -> ScatterVerdict:
+def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
     """Sweep every shift m and test dim ker(f + m*id) <= 1 via Dickson
     ranks. Independent of the fiber counter; same verdict contract.
     Stops after the first slice with a violation, so the full sweep cost
@@ -162,7 +159,7 @@ def is_scattered_ranks(f: LinPoly, workers: int = 1) -> ScatterVerdict:
     m = None
     for lo, hi in linalg.sweep_slices(ctx.order):
         ms = np.arange(lo, hi, dtype=np.int64)
-        ranks = shift_ranks(f, ms, workers=workers)
+        ranks = shift_ranks(f, ms)
         bad = np.flatnonzero(ranks < ctx.n - 1)
         if len(bad):
             m = int(ms[bad[0]])
@@ -176,8 +173,7 @@ def is_scattered_ranks(f: LinPoly, workers: int = 1) -> ScatterVerdict:
     return ScatterVerdict(False, "ranks", witness, None, m)
 
 
-def nonscattered_witness_search(f: LinPoly, workers: int = 1
-                                ) -> Optional[Tuple[int, int]]:
+def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     """Search for (rho, x), rho outside GF(q), x nonzero, f(rho*x) = rho*f(x);
     such a pair exists iff f is not scattered. rho runs over ascending
     generator powers, deterministic. Returns None when f is scattered."""
@@ -197,7 +193,7 @@ def nonscattered_witness_search(f: LinPoly, workers: int = 1
             cols[i] = ctx.vmul(np.full_like(rhos, f.coeffs[i]), ctx.vsub(cur, rhos))
             if i + 1 < n:
                 cur = ctx.vfrob(cur, 1)
-        ranks = linalg.batch_dickson_rank(ctx, cols, workers=workers)
+        ranks = linalg.batch_dickson_rank(ctx, cols)
         hit = np.flatnonzero(ranks < n)
         if len(hit):
             rho = int(rhos[hit[0]])
@@ -247,13 +243,13 @@ class BaerReport:
 def baer_partition_check(ctx, k: int) -> BaerReport:
     """Intersect the linear set of psi_k with the subline over GF(q^t) and
     verify it is the disjoint union of the two predicted power-coset parts,
-    each of size (q^t - 1)/(q - 1). Requires psi_k scattered."""
+    each of size (q^t - 1)/(q - 1). Requires psi_k scattered, which is
+    the fiber checker's test on the same values."""
     k = _norm_k(ctx, k)
-    f = build_psi(ctx, k)
-    verdict = is_scattered_fibers(f)
-    if not verdict.scattered:
-        raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
+    vals = build_psi(ctx, k).line_values()
     t, n, M = ctx.t, ctx.n, ctx.order
+    if len(vals) != (M - 1) // (ctx.q - 1):
+        raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
 
     els = np.arange(1, M, dtype=np.int64)
     frobt = ctx.vfrob(els, t)
@@ -263,7 +259,6 @@ def baer_partition_check(ctx, k: int) -> BaerReport:
     part_sub = np.unique(ctx.vpow_int(sub, ctx.q ** ((t - k) % n) - 1))
     part_skew = np.unique(ctx.vpow_int(wstar, ctx.q ** (k % n) - 1))
 
-    vals = f.line_values()
     inter = vals[ctx.vfrob(vals, t) == vals]
 
     union = np.union1d(part_sub, part_skew)

@@ -167,12 +167,13 @@ def test_acceptance_json_mode(capsys):
 
 
 def test_acceptance_rejects_bad_field_injection(capsys):
-    rc, _, err = _run(capsys, ["acceptance", "--only", "size", "--p", "2"])
-    assert rc == 2 and "invalid config:" in err
-    # unknown slugs are rejected by the argument parser itself
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["acceptance", "--only", "nosuch"])
-    assert exc.value.code == 2
+    # acceptance takes no field flags, valid or not, and no unknown slugs:
+    # the argument parser itself rejects them
+    for argv in (["--only", "size", "--p", "2"], ["--only", "size", "--p", "3"],
+                 ["--only", "nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["acceptance"] + argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

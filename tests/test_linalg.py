@@ -14,7 +14,6 @@ from scatpoly.linalg import (
     field_rref,
     modp_nullspace,
     modp_rref,
-    parallel_map,
     sweep_slices,
 )
 from scatpoly.linpoly import LinPoly
@@ -155,16 +154,12 @@ def test_batch_dickson_rank_int32_residues():
         _residue_dtype(46349)
 
 
-def test_shift_ranks_same_bytes_with_two_workers(ctx34):
+def test_shift_ranks_same_bytes_as_one_kernel_call(ctx34):
     f = build_psi(ctx34, 2)
-    one = shift_ranks(f, workers=1)
-    assert shift_ranks(f, workers=2).tobytes() == one.tobytes()
-    # shift_ranks hands each call fewer than one chunk; small chunks make
-    # the pool run the kernel on several parts
     cols = np.tile(np.array(f.coeffs, dtype=np.int64)[:, None], (1, ctx34.order))
     cols[0] = [ctx34.add(f.coeffs[0], m) for m in range(ctx34.order)]
-    par = batch_dickson_rank(ctx34, cols, workers=2, chunk=1000)
-    assert par.tobytes() == one.tobytes()
+    one = batch_dickson_rank(ctx34, cols)
+    assert shift_ranks(f).tobytes() == one.tobytes()
 
 
 def test_shift_ranks_empty_batch(ctx33):
@@ -184,13 +179,6 @@ def test_sweep_slices_ascending_and_doubling():
     sizes = [hi - lo for lo, hi in slices[:-1]]
     assert sizes[:9] == [256 << i for i in range(9)] and set(sizes[8:]) == {1 << 16}
     assert list(sweep_slices(100)) == [(0, 100)] and list(sweep_slices(0)) == []
-
-
-def test_parallel_map_reducer():
-    parts = [list(range(i, i + 3)) for i in range(0, 12, 3)]
-    seq = parallel_map(sum, parts, workers=1)
-    par = parallel_map(sum, parts, workers=2)
-    assert seq == par == [sum(p) for p in parts]
 
 
 def test_modp_rref_and_nullspace():

@@ -3,6 +3,7 @@ import pytest
 
 from scatpoly.errors import CtxMismatch
 from scatpoly.linpoly import LinPoly
+from scatpoly.scattered import build_psi, is_scattered_fibers
 
 
 def _rand_poly(ctx, rng):
@@ -143,6 +144,18 @@ def test_line_values_and_fibers(ctx33):
     hist = f.fiber_histogram()
     assert hist == {ctx.q - 1: expected}
     assert sum(sz * cnt for sz, cnt in hist.items()) == ctx.order - 1
+
+
+def test_line_values_and_fibers_not_scattered(ctx34):
+    # psi_2 at (3, 4) is not scattered: some fiber of f(x)/x is larger than
+    # GF(q)*, so the three readers of the f(x)/x pass must still agree
+    ctx = ctx34
+    f = build_psi(ctx, 2)
+    hist = f.fiber_histogram()
+    n_values = is_scattered_fibers(f).n_values
+    assert len(f.line_values()) == n_values == sum(hist.values())
+    assert sum(sz * cnt for sz, cnt in hist.items()) == ctx.order - 1
+    assert max(hist) > ctx.q - 1
 
 
 def test_json_roundtrip(ctx33):
