@@ -17,39 +17,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BadHypotheses, CtxMismatch
-from .linpoly import LinPoly
+from .linpoly import LinPoly, poly_vec, vec_poly
 from .scattered import shift_ranks
 from . import linalg, linsets
 
 
 # -- GF(p) coordinates for q-polynomials --------------------------------------
-
-def _digits_vec(ctx, x: int) -> np.ndarray:
-    """Little-endian base-p digits of a field element, length e*n."""
-    out = np.empty(ctx.en, dtype=np.int64)
-    x = int(x)
-    for i in range(ctx.en):
-        out[i] = x % ctx.p
-        x //= ctx.p
-    return out
-
-
-def _poly_vec(f: LinPoly) -> np.ndarray:
-    """A q-polynomial as a GF(p)-vector of length n*(e*n): the digit blocks
-    of its coefficients, slot by slot."""
-    return np.concatenate([_digits_vec(f.ctx, c) for c in f.coeffs])
-
-
-def _vec_poly(ctx, v: np.ndarray) -> LinPoly:
-    en = ctx.en
-    coeffs = []
-    for s in range(ctx.n):
-        x = 0
-        for d in range(en - 1, -1, -1):
-            x = x * ctx.p + int(v[s * en + d])
-        coeffs.append(x)
-    return LinPoly(ctx, coeffs)
-
 
 def modp_action_matrix(f: LinPoly) -> np.ndarray:
     """Matrix of f acting on GF(q^n) as a GF(p)-space, in the polynomial
@@ -228,21 +201,18 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     p, en, D = ctx.p, ctx.en, ctx.n * ctx.en
     ident = LinPoly.identity(ctx)
     gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
-    code_vecs = np.stack([_poly_vec(g) for g in gens])
-    K = linalg.modp_nullspace(code_vecs, p)
+    K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
     monos = [LinPoly.monomial(ctx, p ** d, s)
              for s in range(ctx.n) for d in range(en)]
     blocks = []
     if len(K):
         for c in gens:
-            A = np.empty((D, D), dtype=np.int64)
-            for j, b in enumerate(monos):
-                comp = b.compose(c) if side == "left" else c.compose(b)
-                A[:, j] = _poly_vec(comp)
+            comps = [b.compose(c) if side == "left" else c.compose(b) for b in monos]
+            A = poly_vec(ctx, [h.coeffs for h in comps]).T
             blocks.append((K @ A) % p)
     cond = np.concatenate(blocks) if blocks else np.zeros((0, D), dtype=np.int64)
     xi = linalg.modp_nullspace(cond, p)
-    basis = tuple(_vec_poly(ctx, v) for v in xi)
+    basis = tuple(vec_poly(ctx, v) for v in xi)
     dim_p = len(xi)
 
     # vacuously true for the zero algebra; None when skipped
@@ -250,10 +220,10 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     closed = commutative = all_invertible = contains_identity = verdict
     if check_flags and dim_p:
         member = _member_fn(ctx, xi)
-        contains_identity = member(_poly_vec(ident))
+        contains_identity = member(poly_vec(ctx, ident.coeffs))
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                closed = closed and member(_poly_vec(u.compose(v)))
+                closed = closed and member(poly_vec(ctx, u.compose(v).coeffs))
                 if j > i:
                     commutative = commutative and u.compose(v) == v.compose(u)
         # every nonzero GF(p)-combination of the basis, up to the first

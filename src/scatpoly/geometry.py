@@ -233,7 +233,8 @@ def project_to_line(gamma: ProjSubspace, k: int) -> np.ndarray:
     distinguished subspace for k."""
     ctx = gamma.ctx
     us = np.arange(1, ctx.order, dtype=np.int64)
-    return np.unique(projection_slopes(gamma, k, us))
+    # return_counts makes numpy sort; without it numpy 2.3 and later hash
+    return np.unique(projection_slopes(gamma, k, us), return_counts=True)[0]
 
 
 # -- pseudoregulus shape test ---------------------------------------------------

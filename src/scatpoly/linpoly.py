@@ -193,3 +193,19 @@ class LinPoly:
     @classmethod
     def from_json(cls, ctx, obj) -> "LinPoly":
         return cls(ctx, obj)
+
+
+# -- GF(p) coordinates -----------------------------------------------------------
+
+def poly_vec(ctx, coeffs) -> np.ndarray:
+    """q-polynomials as GF(p)-vectors of length n*(e*n): the little-endian
+    base-p digit blocks of their coefficients, slot by slot. coeffs has
+    shape (..., n), one coefficient vector per polynomial."""
+    c = np.asarray(coeffs, dtype=np.int64)[..., None]
+    digits = c // ctx.p ** np.arange(ctx.en, dtype=np.int64) % ctx.p
+    return digits.reshape(*digits.shape[:-2], -1)
+
+
+def vec_poly(ctx, v: np.ndarray) -> LinPoly:
+    """The q-polynomial with GF(p)-vector v; inverse of poly_vec."""
+    return LinPoly(ctx, np.reshape(v, (ctx.n, ctx.en)) @ ctx.p ** np.arange(ctx.en))

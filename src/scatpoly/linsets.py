@@ -7,12 +7,21 @@ L_f = {<(x, f(x))> : x nonzero} on the projective line. Since x is nonzero
 every point has the form <(1, m)> with m = f(x)/x, so L_f is stored as the
 sorted array of those m values.
 
-Subspace equivalence asks for an invertible 2x2 matrix over GF(q^n) and a
-field automorphism tau with M * U_(f^tau) = U_g. The search is exact: the
-coefficient conditions of g(a*x + b*F(x)) = c*x + d*F(x) are GF(q)-linear
-in (a, b), the conditions attached to slots where neither c nor d can
-contribute prune the candidate pairs to a thin set, and every candidate is
-re-verified by explicit composition before being returned.
+Subspace equivalence asks for a field automorphism tau and an invertible
+M = [[a, b], [c, d]] over GF(q^n) with M * U_(f^tau) = U_g, that is
+g(a*x + b*F(x)) = c*x + d*F(x) with F = f^tau. Both steps are exact.
+
+- A twist with no certificate is ruled out by one GF(p) solve. The
+  equation is GF(p)-linear in the digits of (a, b, c, d), so its solutions
+  form the nullspace S of a small GF(p) system, and det M = a*d - b*c is a
+  quadratic form Q on S. Q vanishes on all of S iff it vanishes at every
+  basis vector and every sum of two basis vectors, so O(dim S^2) field
+  products decide whether S holds an invertible M.
+- Every other twist goes to the exhaustive search. Its coefficient
+  conditions are GF(q)-linear in (a, b), the conditions attached to slots
+  where neither c nor d can contribute prune the candidate pairs to a thin
+  set, and every candidate is re-verified by explicit composition. The
+  search returns the first verified certificate in (twist, b, a) order.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BadParams, BudgetExceeded, CtxMismatch
-from .linpoly import LinPoly
+from .linpoly import LinPoly, poly_vec
+from . import linalg
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -128,7 +138,6 @@ def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
     i.e. iff its Dickson matrix is singular. Batched over all nonzero x."""
     f._check(g)
     ctx = f.ctx
-    from . import linalg
     n, M = ctx.n, ctx.order
     xs = np.arange(1, M, dtype=np.int64)
     fx = f.eval_vec(xs)
@@ -286,14 +295,66 @@ def _search_twist(ctx, F: LinPoly, g: LinPoly, twist: int, f: LinPoly
     return None
 
 
+def _twist_has_certificate(ctx, F: LinPoly, g: LinPoly) -> bool:
+    """Whether some invertible M = [[a, b], [c, d]] solves
+    g(a*x + b*F(x)) = c*x + d*F(x), by one GF(p) nullspace solve.
+
+    The unknowns are the e*n base-p digits of each of a, b, c, d. Digit k
+    of a has the column g o (p^k * x), of b g o (p^k * F), of c -p^k * x
+    and of d -p^k * F. A scalar F is left to _search_twist, which rejects
+    it."""
+    if not any(F.coeffs[1:]):
+        return True
+    p, en = ctx.p, ctx.en
+    units = p ** np.arange(en, dtype=np.int64)
+    ident = np.array(LinPoly.identity(ctx).coeffs, dtype=np.int64)
+    uI = ctx.vmul(units[:, None], ident[None, :])
+    uF = ctx.vmul(units[:, None], np.array(F.coeffs, dtype=np.int64)[None, :])
+    cols = np.concatenate([_compose_rows(ctx, g, uI), _compose_rows(ctx, g, uF),
+                           ctx.vneg(uI), ctx.vneg(uF)])
+    return _span_has_invertible(ctx, linalg.modp_nullspace(poly_vec(ctx, cols).T, p))
+
+
+def _span_has_invertible(ctx, S: np.ndarray) -> bool:
+    """Whether the GF(p)-span of the rows of S, each the digits of some
+    (a, b, c, d), holds a point where Q = a*d - b*c is nonzero.
+
+    Q(u + v) = Q(u) + Q(v) + B(u, v) with B bilinear, so Q is zero on the
+    span iff Q(u_i + u_j) = 0 for all rows u_i, u_j with i <= j; i = j
+    gives Q(2 u_i) = 4 Q(u_i), which covers u_i since p is odd."""
+    p, en = ctx.p, ctx.en
+    i, j = np.triu_indices(len(S))
+    a, b, c, d = (((S[i] + S[j]) % p).reshape(-1, 4, en)
+                  @ p ** np.arange(en, dtype=np.int64)).T
+    return bool((ctx.vmul(a, d) != ctx.vmul(b, c)).any())
+
+
+def _compose_rows(ctx, g: LinPoly, H: np.ndarray) -> np.ndarray:
+    """Coefficient rows of g o h for every coefficient row h of H, by
+    (g o h)_m = sum_i g_i * h_(m-i)^(q^i)."""
+    out = np.zeros_like(H)
+    for i, gi in enumerate(g.coeffs):
+        if gi:
+            out = ctx.vadd(out, ctx.vscale(gi, ctx.vfrob(np.roll(H, i, axis=1), i)))
+    return out
+
+
 def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True,
                         budget: int = DEFAULT_BUDGET) -> Optional[Certificate]:
     """Search for M in GL(2, q^n) and an automorphism twist with
     U_g = M * U_(f^twist); GL only (twist fixed to 0) when
-    with_automorphisms is off. Returns the first verified certificate in
-    (twist, b, a) candidate order, or None only after the exhaustive search
-    comes up empty. Raises BudgetExceeded when the ambient (a, b) search
-    space q^(2n) exceeds the budget."""
+    with_automorphisms is off.
+
+    Each distinct twist F = f^twist is first decided by linear algebra:
+    the solutions (a, b, c, d) of g(a*x + b*F(x)) = c*x + d*F(x) form the
+    nullspace S of a GF(p) system, and F is skipped when the quadratic form
+    Q = a*d - b*c is zero on S, which holds iff Q is zero at every basis
+    vector of S and every sum of two of them. The exhaustive (b, a) search
+    runs only on the twists left. So the result is the first verified
+    certificate in (twist, b, a) candidate order, the same as a search of
+    every twist, and None is exact. Raises BudgetExceeded when the ambient
+    (a, b) search space q^(2n) exceeds the budget, also where the linear
+    check alone would decide."""
     f._check(g)
     ctx = f.ctx
     if ctx.order ** 2 > budget:
@@ -306,6 +367,8 @@ def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True,
         if F.coeffs in seen:
             continue
         seen.add(F.coeffs)
+        if not _twist_has_certificate(ctx, F, g):
+            continue
         cert = _search_twist(ctx, F, g, j, f)
         if cert is not None:
             return cert

@@ -1,10 +1,17 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scatpoly.errors import BadParams, BudgetExceeded
-from scatpoly.linpoly import LinPoly
+from scatpoly.linpoly import LinPoly, poly_vec
 from scatpoly.linsets import (
     Certificate,
+    _search_twist,
+    _span_has_invertible,
+    _twist_has_certificate,
     find_u1_equivalence,
     find_u2_equivalence,
     inclusion_dickson,
@@ -19,6 +26,9 @@ from scatpoly.linsets import (
     valid_u2_deltas,
 )
 from scatpoly.scattered import build_psi, is_scattered_fibers, is_scattered_ranks
+
+# fixed examples, so every run checks the same inputs
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 def _u4_delta(ctx):
@@ -201,6 +211,13 @@ def test_subspace_equivalent_negative_and_flags(ctx33):
         subspace_equivalent(psi, psi, budget=10)
 
 
+def test_subspace_equivalent_rejects_scalar_left_map(ctx33):
+    psi = build_psi(ctx33, 1)
+    for g in (psi, LinPoly.identity(ctx33)):
+        with pytest.raises(BadParams):
+            subspace_equivalent(LinPoly.monomial(ctx33, 5, 0), g)
+
+
 def test_u1_membership_sweeps(ctx33):
     ctx = ctx33
     high = known_family(ctx, "u1", s=5)
@@ -223,3 +240,112 @@ def test_u2_membership_sweep(ctx33):
     s, d, cert = found
     assert cert.verify(g, known_family(ctx, "u2", s=s, delta=d))
     assert lp_type_test(g, max_deltas=40)
+
+
+def _built_pair(ctx, f, tau, lam, mu):
+    """g = mu * f^tau(lam * x), equivalent to f through diag(1/lam, mu)."""
+    return f.frob_twist(tau).compose(LinPoly.monomial(ctx, lam, 0)).scale(mu)
+
+
+def test_subspace_equivalent_full_support_none(ctx53):
+    ctx = ctx53
+    rng = random.Random(5)
+    while True:
+        f, g = (LinPoly(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.n)])
+                for _ in range(2))
+        # an equivalence maps each point of L_f to a point of L_g of the
+        # same weight, so different fiber-size histograms prove None
+        if f.fiber_histogram() != g.fiber_histogram():
+            break
+    assert subspace_equivalent(f, g) is None
+
+
+def test_subspace_equivalent_full_support_built(ctx53):
+    ctx = ctx53
+    rng = random.Random(5)
+    f = LinPoly(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.n)])
+    g = _built_pair(ctx, f, 4, rng.randrange(1, ctx.order), rng.randrange(1, ctx.order))
+    cert = subspace_equivalent(f, g)
+    assert cert is not None and cert.verify(f, g)
+
+
+def test_span_has_invertible_needs_pairwise_sums(ctx33):
+    ctx = ctx33
+    m1 = ctx.neg(1)
+
+    def span(*rows):
+        # rows of (a, b, c, d) as digit blocks
+        return poly_vec(ctx, np.array(rows, dtype=np.int64).reshape(-1, 4))
+
+    # both rows are singular, their sum is the identity matrix
+    assert _span_has_invertible(ctx, span([1, 0, 0, 0], [0, 0, 0, 1]))
+    assert _span_has_invertible(ctx, span([0, 1, 0, 0], [0, 0, m1, 0]))
+    # every point (l, m, l, m) of this span is singular
+    assert not _span_has_invertible(ctx, span([1, 0, 1, 0], [0, 1, 0, 1]))
+    assert not _span_has_invertible(ctx, span([0, 0, 0, 0]))
+    assert not _span_has_invertible(ctx, np.zeros((0, 4 * ctx.en), dtype=np.int64))
+
+
+def _inverse(h):
+    ident = LinPoly.identity(h.ctx)
+    inv = h
+    while inv.compose(h) != ident:
+        inv = inv.compose(h)
+    return inv
+
+
+def test_linear_check_finds_a_general_certificate(ctx33):
+    # U_g = M * U_f for M = [[1, 1], [1, -1]], so g = (x - f) o (x + f)^-1;
+    # a*d + b*c = 0 here, so a sign slip in the c or d columns shows
+    ctx = ctx33
+    m1 = ctx.neg(1)
+    rng = random.Random(3)
+    while True:
+        f = LinPoly(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.n)])
+        h = LinPoly.identity(ctx) + f
+        if h.rank() == ctx.n:
+            break
+    g = (LinPoly.identity(ctx) - f).compose(_inverse(h))
+    assert Certificate(0, 1, 1, 1, m1).verify(f, g)
+    assert _twist_has_certificate(ctx, f, g)
+
+
+def _sparse_poly(ctx, data):
+    """A non-scalar q-polynomial with at most 3 nonzero coefficients."""
+    slots = [data.draw(st.integers(1, ctx.n - 1))]
+    slots += data.draw(st.lists(st.integers(0, ctx.n - 1), max_size=2))
+    coeffs = [0] * ctx.n
+    for s in slots:
+        coeffs[s] = data.draw(st.integers(1, ctx.order - 1))
+    return LinPoly(ctx, coeffs)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_linear_check_agrees_with_exhaustive_search(ctx33, data):
+    ctx = ctx33
+    f = _sparse_poly(ctx, data)
+    kind = data.draw(st.sampled_from(["sparse", "diagonal", "general"]))
+    units = st.one_of(st.just(1), st.just(ctx.neg(1)), st.integers(1, ctx.order - 1))
+    if kind == "sparse":
+        g = _sparse_poly(ctx, data)
+    elif kind == "diagonal":
+        g = _built_pair(ctx, f, data.draw(st.integers(0, ctx.en - 1)),
+                        data.draw(units), data.draw(units))
+    else:
+        # U_g = M * U_F for M = [[a, b], [c, d]]: g = (c + d*F) o (a + b*F)^-1
+        F = f.frob_twist(data.draw(st.integers(0, ctx.en - 1)))
+        a, b, c, d = (data.draw(units) for _ in range(4))
+        h = LinPoly.monomial(ctx, a, 0) + F.scale(b)
+        assume(ctx.mul(a, d) != ctx.mul(b, c) and h.rank() == ctx.n)
+        g = (LinPoly.monomial(ctx, c, 0) + F.scale(d)).compose(_inverse(h))
+    seen, verdicts = set(), []
+    for j in range(ctx.en):
+        F = f.frob_twist(j)
+        if F in seen:
+            continue
+        seen.add(F)
+        found = _search_twist(ctx, F, g, j, f) is not None
+        assert _twist_has_certificate(ctx, F, g) == found
+        verdicts.append(found)
+    assert any(verdicts) or kind == "sparse"
