@@ -124,17 +124,35 @@ def qpoly_matrices(ctx, coeff_cols: np.ndarray) -> np.ndarray:
     return _contract(T, _digit_planes(coeff_cols, p, en), p).reshape(en, en, B)
 
 
+def _mult_matrices(ctx, elems: np.ndarray) -> np.ndarray:
+    """GF(p)-matrices M_a of y -> a*y for every a in the 1-d array elems,
+    as an (e*n * e*n, B) array of residues: row ri * e*n + ci, column b
+    holds M_a[ri, ci] for a = elems[b]."""
+    p, en = ctx.p, ctx.en
+    T0 = ctx.action_tensor()[:en].reshape(en, en * en).T
+    return _contract(T0, _digit_planes(np.reshape(elems, (1, -1)), p, en), p)
+
+
 def batch_rank(ctx, mats: np.ndarray) -> np.ndarray:
     """Ranks over the field of a (B, r, c) stack of matrices: each entry a
     becomes its block M_a, and the GF(p) rank is e*n times the field rank."""
     p, en = ctx.p, ctx.en
     B, r, c = np.shape(mats)
-    T0 = ctx.action_tensor()[:en].reshape(en, en * en).T
-    entries = np.transpose(mats, (1, 2, 0)).reshape(1, r * c * B)
+    entries = np.transpose(mats, (1, 2, 0))
     # blocks[ri, ci, rb, cb, b] = M_a[ri, ci] for a = mats[b, rb, cb]
-    blocks = _contract(T0, _digit_planes(entries, p, en), p).reshape(en, en, r, c, B)
+    blocks = _mult_matrices(ctx, entries).reshape(en, en, r, c, B)
     A = blocks.transpose(2, 0, 3, 1, 4).reshape(r * en, c * en, B)
     return _modp_ranks(A, p) // en
+
+
+def shift_dickson_ranks(ctx, A: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Ranks as GF(q)-linear maps of f + m*id for every m in ms, where A is
+    f's (e*n, e*n) GF(p)-matrix: each matrix is A + M_m, so only the e*n
+    digit planes of m are contracted."""
+    p, en = ctx.p, ctx.en
+    mats = _mult_matrices(ctx, ms)
+    mats += np.reshape(A, (en * en, 1)).astype(mats.dtype)
+    return _modp_ranks(_reduce(mats, p).reshape(en, en, -1), p) // ctx.e
 
 
 def batch_dickson_rank(ctx, coeff_cols: np.ndarray) -> np.ndarray:

@@ -110,21 +110,61 @@ class LinPoly:
                 cur = ctx.vfrob(cur, 1)
         return out
 
-    def _fibers(self):
-        """(vals, uniq, counts): vals[i] = f(x)/x at x = i + 1 for every
-        nonzero x, uniq its sorted distinct values and counts the size of
-        each value's fiber."""
+    def matrix(self) -> np.ndarray:
+        """A_f, the (e*n, e*n) GF(p)-matrix of f on digit vectors: column d
+        holds the base-p digits of f(p^d)."""
         ctx = self.ctx
-        xs = np.arange(1, ctx.order, dtype=np.int64)
-        vals = ctx.vmul(self.eval_vec(xs), ctx.vinv(xs))
-        # return_counts makes numpy sort; without it numpy 2.3 and later
-        # hash, which is far slower on arrays of this size
-        uniq, counts = np.unique(vals, return_counts=True)
-        return vals, uniq, counts
+        return np.array([ctx.digits(self(ctx.p ** d)) for d in range(ctx.en)],
+                        dtype=np.int64).T
+
+    def eval_all(self) -> np.ndarray:
+        """f(x) for every x in index order, by GF(p)-linearity and no tables.
+
+        For x = x_low + j*p^d with x_low < p^d, digit row r of f(x) is that
+        of f(x_low) plus j*A_f[r, d] mod p, so each row of digits over the
+        whole field grows from its first entry in e*n block steps; the rows
+        are then assembled into indices, top digit first."""
+        ctx = self.ctx
+        p, order = ctx.p, ctx.order
+        A = self.matrix()
+        # residues below p stay below 2p < 128 before their reduction
+        row = np.empty(order, dtype=np.int8 if p < 64 else np.int16)
+        out = np.zeros(order, dtype=np.int64)
+        for r in reversed(range(ctx.en)):
+            row[0] = 0
+            size = 1
+            for a in A[r].tolist():
+                for j in range(1, p):
+                    blk = row[j * size:(j + 1) * size]
+                    np.add(row[(j - 1) * size:j * size], a, out=blk)
+                    np.subtract(blk, p, out=blk, where=blk >= p)
+                size *= p
+            out *= p
+            out += row
+        return out
+
+    def _fibers(self):
+        """(bins, counts) of x -> f(x)/x on nonzero x, in the log domain:
+        bins[i] = log f(x) - log x mod (q^n - 1) at x = i + 1, and q^n - 1
+        where f(x) = 0, which keeps the kernel apart; counts[b] is the size
+        of the fiber of omega^b, and counts[-1] that of 0."""
+        ctx = self.ctx
+        ctx._need_tables()
+        M = ctx.mult_order
+        fx = self.eval_all()[1:]
+        bins = ctx._log[fx]
+        bins -= ctx._log[1:]
+        bins %= M
+        bins[fx == 0] = M
+        return bins, np.bincount(bins, minlength=M + 1)
 
     def line_values(self) -> np.ndarray:
         """Sorted distinct values of f(x)/x over nonzero x."""
-        return self._fibers()[1]
+        counts = self._fibers()[1]
+        vals = self.ctx._exp[np.flatnonzero(counts[:-1])]
+        if counts[-1]:
+            vals = np.append(vals, 0)
+        return np.sort(vals)
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -182,7 +222,8 @@ class LinPoly:
     def fiber_histogram(self) -> Counter:
         """Multiset of fiber sizes of x -> f(x)/x on nonzero x, as a Counter
         mapping fiber size to the number of fibers of that size."""
-        sizes, mult = np.unique(self._fibers()[2], return_counts=True)
+        counts = self._fibers()[1]
+        sizes, mult = np.unique(counts[counts > 0], return_counts=True)
         return Counter({int(s): int(m) for s, m in zip(sizes, mult)})
 
     # -- serialization ------------------------------------------------------

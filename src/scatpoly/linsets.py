@@ -140,7 +140,7 @@ def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
     ctx = f.ctx
     n, M = ctx.n, ctx.order
     xs = np.arange(1, M, dtype=np.int64)
-    fx = f.eval_vec(xs)
+    fx = f.eval_all()[1:]
     for lo, hi in linalg.sweep_slices(M - 1):
         sl = slice(lo, hi)
         cols = np.empty((n, hi - lo), dtype=np.int64)

@@ -123,30 +123,31 @@ def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
     iff there are (q^n - 1)/(q - 1) of them. On failure returns the fiber
     witness associated with the smallest oversized value."""
     ctx = f.ctx
-    vals, uniq, counts = f._fibers()
-    expected = (ctx.order - 1) // (ctx.q - 1)
-    if len(uniq) == expected:
-        return ScatterVerdict(True, "fibers", None, int(len(uniq)), None)
-    v = uniq[np.flatnonzero(counts > ctx.q - 1)[0]]
-    witness = _witness_in_fiber(ctx, np.flatnonzero(vals == v) + 1)
-    return ScatterVerdict(False, "fibers", witness, int(len(uniq)), None)
+    bins, counts = f._fibers()
+    n_values = int(np.count_nonzero(counts))
+    if n_values == (ctx.order - 1) // (ctx.q - 1):
+        return ScatterVerdict(True, "fibers", None, n_values, None)
+    # bins run in log order, values in index order: 0, whose bin is the
+    # last, comes first; else take the oversized value of smallest index
+    if counts[-1] > ctx.q - 1:
+        b = ctx.mult_order
+    else:
+        big = np.flatnonzero(counts[:-1] > ctx.q - 1)
+        b = big[np.argmin(ctx._exp[big])]
+    witness = _witness_in_fiber(ctx, np.flatnonzero(bins == b) + 1)
+    return ScatterVerdict(False, "fibers", witness, n_values, None)
 
 
 def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
     """Ranks of f + m*id for every shift m in ms (all field elements when
-    ms is None), computed in batched Dickson form, linalg.SLICE at a time."""
+    ms is None), as GF(p)-matrices A_f + M_m, linalg.SLICE at a time."""
     ctx = f.ctx
     if ms is None:
         ms = np.arange(ctx.order, dtype=np.int64)
-    n = ctx.n
+    A = f.matrix()
     out = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(ms), linalg.SLICE):
-        part = ms[lo:lo + linalg.SLICE]
-        cols = np.empty((n, len(part)), dtype=np.int64)
-        cols[0] = ctx.vadd(np.full(len(part), f.coeffs[0], dtype=np.int64), part)
-        for i in range(1, n):
-            cols[i] = f.coeffs[i]
-        out.append(linalg.batch_dickson_rank(ctx, cols))
+        out.append(linalg.shift_dickson_ranks(ctx, A, ms[lo:lo + linalg.SLICE]))
     return np.concatenate(out)
 
 
@@ -167,8 +168,7 @@ def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
     if m is None:
         return ScatterVerdict(True, "ranks", None, None, None)
     g = f + LinPoly.monomial(ctx, m, 0)
-    xs = np.arange(1, ctx.order, dtype=np.int64)
-    fiber = xs[g.eval_vec(xs) == 0]
+    fiber = np.flatnonzero(g.eval_all()[1:] == 0) + 1
     witness = _witness_in_fiber(ctx, fiber)
     return ScatterVerdict(False, "ranks", witness, None, m)
 
@@ -199,8 +199,7 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
             rho = int(rhos[hit[0]])
             g = LinPoly(ctx, [ctx.mul(f.coeffs[i], ctx.sub(ctx.frob(rho, i), rho))
                               for i in range(n)])
-            xs = np.arange(1, M, dtype=np.int64)
-            x = int(xs[g.eval_vec(xs) == 0][0])
+            x = int(np.flatnonzero(g.eval_all()[1:] == 0)[0]) + 1
             return rho, x
     return None
 
@@ -240,6 +239,15 @@ class BaerReport:
         }
 
 
+def _halves(ctx):
+    """GF(q^t)* and W* in generator-power order, by exponent arithmetic:
+    with s = q^t + 1, GF(q^t)* is omega^j for j = 0 mod s and W* is omega^j
+    for j = s/2 mod s (see FieldCtx.w_unity_root)."""
+    s = ctx.q ** ctx.t + 1
+    js = np.arange(0, ctx.mult_order, s, dtype=np.int64)
+    return ctx._exp[js], ctx._exp[js + s // 2]
+
+
 def baer_partition_check(ctx, k: int) -> BaerReport:
     """Intersect the linear set of psi_k with the subline over GF(q^t) and
     verify it is the disjoint union of the two predicted power-coset parts,
@@ -251,11 +259,7 @@ def baer_partition_check(ctx, k: int) -> BaerReport:
     if len(vals) != (M - 1) // (ctx.q - 1):
         raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
 
-    els = np.arange(1, M, dtype=np.int64)
-    frobt = ctx.vfrob(els, t)
-    sub = els[frobt == els]           # GF(q^t)*
-    wstar = els[ctx.vadd(els, frobt) == 0]
-
+    sub, wstar = _halves(ctx)
     part_sub = np.unique(ctx.vpow_int(sub, ctx.q ** ((t - k) % n) - 1))
     part_skew = np.unique(ctx.vpow_int(wstar, ctx.q ** (k % n) - 1))
 

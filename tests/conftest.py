@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from scatpoly.fields import build_field
+
+# fixed examples, so every run checks the same inputs; each property test
+# sets only its own max_examples
+settings.register_profile("scatpoly", derandomize=True, deadline=None)
+settings.load_profile("scatpoly")
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scatpoly.errors import BadK, NotScattered
+from scatpoly.fields import build_field
 from scatpoly.linpoly import LinPoly
 from scatpoly.scattered import (
+    _halves,
     alpha_poly,
     baer_partition_check,
     beta_poly,
@@ -157,3 +161,114 @@ def test_predicate_gcd_consistency(ctx34):
     # sanity: the even-t branch really only depends on gcd(k, t)
     for k in range(1, ctx34.n):
         assert theorem_predicate(ctx34, k) == (math.gcd(k, ctx34.t) == 1)
+
+
+# -- cross-method invariants -------------------------------------------------
+
+def _draw_poly(data, ctx):
+    """psi_k, the zero map, a random map or a planted-kernel map f + m*id
+    with m = -f(x0)/x0."""
+    kind = data.draw(st.sampled_from(["psi", "zero", "random", "planted"]))
+    if kind == "psi":
+        return build_psi(ctx, data.draw(st.integers(1, ctx.n - 1)))
+    if kind == "zero":
+        return LinPoly.zero(ctx)
+    elem = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    f = LinPoly(ctx, data.draw(st.lists(elem, min_size=ctx.n, max_size=ctx.n)))
+    if kind == "planted":
+        x0 = data.draw(st.integers(1, ctx.order - 1))
+        f = f + LinPoly.monomial(ctx, ctx.neg(ctx.div(f(x0), x0)), 0)
+    return f
+
+
+def _check_deficient_shifts(ctx, f):
+    # ker(f + m*id) != 0 iff -m is a value of f(x)/x, so the rank-deficient
+    # shifts are exactly -L_f
+    deficient = np.flatnonzero(shift_ranks(f) < ctx.n)
+    vals = f.line_values()
+    assert len(deficient) == len(vals)
+    assert sorted(ctx.neg(int(m)) for m in deficient) == vals.tolist()
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3)])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_rank_deficient_shifts_are_minus_line_set(pet, data):
+    ctx = build_field(*pet)
+    _check_deficient_shifts(ctx, _draw_poly(data, ctx))
+
+
+def test_rank_deficient_shifts_are_minus_line_set_q9(ctx923):
+    # one example: the sweep ranks all 531441 shifts
+    ctx = ctx923
+    rng = np.random.default_rng(9)
+    f = LinPoly(ctx, [int(c) for c in rng.integers(0, ctx.order, size=ctx.n)])
+    x0 = int(rng.integers(1, ctx.order))
+    _check_deficient_shifts(ctx, f + LinPoly.monomial(ctx, ctx.neg(ctx.div(f(x0), x0)), 0))
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_fibers_ranks_and_witness_search_agree(pet, data):
+    ctx = build_field(*pet)
+    f = _draw_poly(data, ctx)
+    hist = f.fiber_histogram()
+    assert sum(size * mult for size, mult in hist.items()) == ctx.order - 1
+    vf = is_scattered_fibers(f)
+    # at q = 9 the two full sweeps of a scattered map take 10-15 s
+    assume(ctx.order < 10 ** 5 or not vf.scattered)
+    vr = is_scattered_ranks(f)
+    found = nonscattered_witness_search(f)
+    assert vf.scattered == vr.scattered == (found is None)
+    assert vf.n_values == len(f.line_values()) == sum(hist.values())
+    if not vf.scattered:
+        assert check_witness(f, vf.witness) and check_witness(f, vr.witness)
+        rho, x = found
+        assert x and ctx.frob(rho, 1) != rho
+        assert f(ctx.mul(rho, x)) == ctx.mul(rho, f(x))
+        # -bad_shift is a value of f(x)/x whose fiber is too large
+        assert ctx.neg(vr.bad_shift) in f.line_values()
+
+
+# -- pins on the byte-sensitive spots ------------------------------------------
+
+def _oracle_witness(f):
+    """The fiber witness recomputed from scalar f(x)/x: the smallest value
+    whose fiber exceeds q - 1 (np.unique sorts), y the first x of its fiber
+    and z the first x there with z/y outside GF(q)."""
+    ctx = f.ctx
+    xs = np.arange(1, ctx.order, dtype=np.int64)
+    vals = np.array([ctx.div(f(int(x)), int(x)) for x in xs], dtype=np.int64)
+    uniq, counts = np.unique(vals, return_counts=True)
+    v = uniq[np.flatnonzero(counts > ctx.q - 1)[0]]
+    fiber = [int(x) for x in xs[vals == v]]
+    y = fiber[0]
+    z = next(x for x in fiber if not ctx.in_subfield(ctx.div(x, y)))
+    return int(v), (y, z)
+
+
+# at (3, 3) the oversized value of smallest index, 129, is not the one of
+# smallest log, 231
+@pytest.mark.parametrize("fixture,k", [("ctx34", 2), ("ctx33", 1)])
+def test_fiber_witness_pinned_to_smallest_oversized_value(fixture, k, request):
+    ctx = request.getfixturevalue(fixture)
+    psi = build_psi(ctx, k)
+    v, witness = _oracle_witness(psi)
+    assert v != 0 and is_scattered_fibers(psi).witness == witness
+    # psi_k - v*id maps the oversized fiber of v to 0, so there the kernel
+    # fiber is the oversized one, and 0 is the smallest value
+    planted = psi + LinPoly.monomial(ctx, ctx.neg(v), 0)
+    assert planted.kernel_dim() >= 2
+    v0, witness0 = _oracle_witness(planted)
+    assert v0 == 0 and is_scattered_fibers(planted).witness == witness0
+
+
+@pytest.mark.parametrize("fixture", ["ctx53", "ctx34", "ctx923"])
+def test_halves_match_frobenius_masks(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    els = np.arange(1, ctx.order, dtype=np.int64)
+    frobt = ctx.vfrob(els, ctx.t)
+    sub, wstar = _halves(ctx)
+    assert np.array_equal(np.sort(sub), els[frobt == els])
+    assert np.array_equal(np.sort(wstar), els[ctx.vadd(els, frobt) == 0])
