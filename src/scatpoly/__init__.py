@@ -3,8 +3,7 @@ they cut out on a projective line, and the rank-metric codes they span."""
 
 from .errors import (ScatpolyError, NonPrimeP, EvenP, TSmall,
                      ReducibleModulus, CtxMismatch, BadK, BadParams,
-                     BudgetExceeded, NotScattered, BadHypotheses,
-                     NotDisjointFromSigma)
+                     NotScattered, BadHypotheses, NotDisjointFromSigma)
 from .fields import FieldSpec, FieldCtx, build_field
 from .linpoly import LinPoly
 from .scattered import (alpha_poly, beta_poly, build_psi, theorem_predicate,
@@ -12,8 +11,8 @@ from .scattered import (alpha_poly, beta_poly, build_psi, theorem_predicate,
                         is_scattered_ranks, shift_ranks, check_witness,
                         nonscattered_witness_search, BaerReport,
                         baer_partition_check)
-from .linsets import (DEFAULT_BUDGET, normalize_point, linear_set,
-                      linear_set_size, known_family, inclusion_dickson,
+from .linsets import (normalize_point, linear_set, linear_set_size,
+                      known_family, inclusion_dickson,
                       coefficient_prefilter, Certificate, subspace_equivalent,
                       find_u1_equivalence, find_u2_equivalence,
                       valid_u2_deltas, pseudoregulus_test, lp_type_test)
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ScatpolyError", "NonPrimeP", "EvenP", "TSmall", "ReducibleModulus",
-    "CtxMismatch", "BadK", "BadParams", "BudgetExceeded", "NotScattered",
+    "CtxMismatch", "BadK", "BadParams", "NotScattered",
     "BadHypotheses", "NotDisjointFromSigma",
     "FieldSpec", "FieldCtx", "build_field",
     "LinPoly",
@@ -39,7 +38,7 @@ __all__ = [
     "ScatterVerdict", "is_scattered_fibers", "is_scattered_ranks",
     "shift_ranks", "check_witness", "nonscattered_witness_search",
     "BaerReport", "baer_partition_check",
-    "DEFAULT_BUDGET", "normalize_point", "linear_set", "linear_set_size",
+    "normalize_point", "linear_set", "linear_set_size",
     "known_family", "inclusion_dickson", "coefficient_prefilter", "Certificate",
     "subspace_equivalent", "find_u1_equivalence", "find_u2_equivalence",
     "valid_u2_deltas", "pseudoregulus_test", "lp_type_test",

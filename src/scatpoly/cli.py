@@ -2,9 +2,10 @@
 
 Subcommands: verify-scattered, code-report, equiv, geometry, acceptance.
 All algorithms are deterministic, so identical configuration yields
-byte-identical JSON; elapsed times go to stderr only. Exit codes: 0 when a
-command completes (whatever the mathematical verdict), 2 for invalid
-configuration, 3 when an exhaustive search would exceed its budget.
+byte-identical JSON; elapsed times go to stderr only. Every verdict is
+exact: `equiv` answers by linear algebra over GF(p), with no search space
+to cap. Exit codes: 0 when a command completes (whatever the mathematical
+verdict), 2 for invalid configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from time import perf_counter
 
-from .errors import BudgetExceeded, ScatpolyError
+from .errors import ScatpolyError
 from .fields import build_field
 from . import acceptance, codes, geometry, linsets, scattered
 
@@ -135,11 +136,11 @@ def cmd_equiv(args) -> int:
     payload = {"schema": 1, "field": _field_block(ctx), "left": args.left,
                "right": args.right}
     if kind_r == "pseudoregulus":
-        payload["family_member"] = linsets.pseudoregulus_test(f, budget=args.budget)
+        payload["family_member"] = linsets.pseudoregulus_test(f)
     elif kind_r == "lp-type":
-        payload["family_member"] = linsets.lp_type_test(f, budget=args.budget)
+        payload["family_member"] = linsets.lp_type_test(f)
     else:
-        cert = linsets.subspace_equivalent(f, g, budget=args.budget)
+        cert = linsets.subspace_equivalent(f, g)
         payload["certificate"] = None if cert is None else cert.to_json()
         payload["verified"] = bool(cert is not None and cert.verify(f, g))
     _emit_json(payload, args.out)
@@ -226,16 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_code_report)
 
     sp = sub.add_parser("equiv",
-                        help="subspace equivalence search between two targets")
+                        help="subspace equivalence certificate between two "
+                             "targets, or family membership")
     _add_common(sp)
     sp.add_argument("--left", required=True,
                     help="psi:K | u1:S | u2:S,DELTA | u3:S,DELTA | u4:DELTA "
                          "| u5:H")
     sp.add_argument("--right", required=True,
                     help="same grammar, or pseudoregulus | lp-type")
-    sp.add_argument("--budget", type=int, default=linsets.DEFAULT_BUDGET,
-                    help="largest search space q^(2n) the exhaustive "
-                         "search may take on; above it, exit 3")
     sp.set_defaults(fn=cmd_equiv)
 
     sp = sub.add_parser("geometry",
@@ -260,9 +259,6 @@ def main(argv=None) -> int:
     t0 = perf_counter()
     try:
         code = args.fn(args)
-    except BudgetExceeded as ex:
-        print(f"budget exceeded: {ex}", file=sys.stderr)
-        return 3
     except (ScatpolyError, ValueError, OSError) as ex:
         print(f"invalid config: {ex}", file=sys.stderr)
         return 2

@@ -132,16 +132,14 @@ def adjoint_code(code: RankCode) -> RankCode:
     return build_code(code.f.adjoint())
 
 
-def code_equivalent(c1: RankCode, c2: RankCode, with_automorphisms: bool = True,
-                    budget: int = linsets.DEFAULT_BUDGET
+def code_equivalent(c1: RankCode, c2: RankCode, with_automorphisms: bool = True
                     ) -> Optional[linsets.Certificate]:
     """Equivalence of the codes reduces to equivalence of the defining
-    polynomials' graph subspaces; delegates to that search."""
+    polynomials' graph subspaces; delegates to subspace_equivalent."""
     if c1.ctx is not c2.ctx:
         raise CtxMismatch("codes live over different field contexts")
     return linsets.subspace_equivalent(c1.f, c2.f,
-                                       with_automorphisms=with_automorphisms,
-                                       budget=budget)
+                                       with_automorphisms=with_automorphisms)
 
 
 # -- idealisers ------------------------------------------------------------------

@@ -33,14 +33,6 @@ class BadParams(ScatpolyError):
     """Construction parameters violate a documented family constraint."""
 
 
-class BudgetExceeded(ScatpolyError):
-    """A search space exceeds the configured candidate budget.
-
-    This is an explicit verdict: the caller must not interpret it as
-    "inequivalent" or any other mathematical outcome.
-    """
-
-
 class NotScattered(ScatpolyError):
     """An operation requiring a scattered polynomial received one that is not."""
 

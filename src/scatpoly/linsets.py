@@ -9,19 +9,15 @@ sorted array of those m values.
 
 Subspace equivalence asks for a field automorphism tau and an invertible
 M = [[a, b], [c, d]] over GF(q^n) with M * U_(f^tau) = U_g, that is
-g(a*x + b*F(x)) = c*x + d*F(x) with F = f^tau. Both steps are exact.
-
-- A twist with no certificate is ruled out by one GF(p) solve. The
-  equation is GF(p)-linear in the digits of (a, b, c, d), so its solutions
-  form the nullspace S of a small GF(p) system, and det M = a*d - b*c is a
-  quadratic form Q on S. Q vanishes on all of S iff it vanishes at every
-  basis vector and every sum of two basis vectors, so O(dim S^2) field
-  products decide whether S holds an invertible M.
-- Every other twist goes to the exhaustive search. Its coefficient
-  conditions are GF(q)-linear in (a, b), the conditions attached to slots
-  where neither c nor d can contribute prune the candidate pairs to a thin
-  set, and every candidate is re-verified by explicit composition. The
-  search returns the first verified certificate in (twist, b, a) order.
+g(a*x + b*F(x)) = c*x + d*F(x) with F = f^tau. The answer is exact, with
+no search space and no budget. The equation is GF(p)-linear in the
+digits of (a, b, c, d), so for each twist its solutions form the
+nullspace S of a small GF(p) system, and det M = a*d - b*c is a quadratic
+form Q on S. On an affine space v0 + span(U), Q has degree 2 < p in the
+coordinates, so it vanishes everywhere iff it vanishes at v0, v0 + u_i,
+v0 + 2*u_i and v0 + u_i + u_j. That test rules a twist out, and, applied
+digit by digit, reads off S the certificate with the smallest (b, a).
+Every certificate returned is re-verified by explicit composition.
 """
 
 from __future__ import annotations
@@ -32,11 +28,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BadParams, BudgetExceeded, CtxMismatch
+from .errors import BadParams
 from .linpoly import LinPoly, poly_vec
 from . import linalg
-
-DEFAULT_BUDGET = 10 ** 9
 
 
 # -- linear sets ---------------------------------------------------------------
@@ -207,104 +201,19 @@ class Certificate:
         return g.compose(h) == rhs
 
 
-def _coeff_condition_polys(ctx, F: LinPoly, g: LinPoly):
-    """For each output slot k, the coefficient of x^(q^k) in g(a*x + b*F(x))
-    equals g_k * a^(q^k) + B_k(b) with B_k the q-polynomial returned here."""
-    n = ctx.n
-    out = []
-    for k in range(n):
-        coeffs = [ctx.mul(g.coeffs[i], ctx.frob(F.coeffs[(k - i) % n], i))
-                  for i in range(n)]
-        out.append(LinPoly(ctx, coeffs))
-    return out
-
-
-def _finish_candidates(ctx, F, g, bs, as_, pre_mask, live, supp_nz):
-    """Apply the live-slot consistency conditions and the determinant mask
-    to aligned candidate arrays (bs, as_), returning (a, b, c, d) index
-    arrays of the survivors in order."""
-    Bk = _coeff_condition_polys(ctx, F, g)
-    vals = {}
-    for k in live:
-        v = Bk[k].eval_vec(bs)
-        if g.coeffs[k]:
-            v = ctx.vadd(v, ctx.vscale(g.coeffs[k], ctx.vfrob(as_, k)))
-        vals[k] = v
-    mask = pre_mask.copy()
-    k1 = supp_nz[0]
-    ds = ctx.vscale(ctx.inv(F.coeffs[k1]), vals[k1])
-    for k in supp_nz[1:]:
-        mask &= vals[k] == ctx.vscale(F.coeffs[k], ds)
-    cs = ctx.vsub(vals[0], ctx.vscale(F.coeffs[0], ds)) if F.coeffs[0] \
-        else vals[0]
-    dets = ctx.vsub(ctx.vmul(as_, ds), ctx.vmul(bs, cs))
-    mask &= dets != 0
-    idx = np.flatnonzero(mask)
-    return as_[idx], bs[idx], cs[idx], ds[idx]
-
-
-def _search_twist(ctx, F: LinPoly, g: LinPoly, twist: int, f: LinPoly
-                  ) -> Optional[Certificate]:
-    n, M = ctx.n, ctx.order
-    supp_nz = [k for k in range(1, n) if F.coeffs[k]]
-    if not supp_nz:
-        raise BadParams("equivalence search needs a non-scalar map on the left")
-    live = [0] + supp_nz
-    dead = [k for k in range(1, n) if F.coeffs[k] == 0]
-    Bk = _coeff_condition_polys(ctx, F, g)
-
-    forcing = [k for k in dead if g.coeffs[k]]
-    bs_all = np.arange(M, dtype=np.int64)
-
-    if forcing:
-        # slot k0 pins a as a function of b; other dead slots filter
-        k0 = forcing[0]
-        w = ctx.vscale(ctx.inv(g.coeffs[k0]), ctx.vneg(Bk[k0].eval_vec(bs_all)))
-        as_ = ctx.vfrob(w, n - k0)
-        pre = np.ones(M, dtype=bool)
-        for k in dead:
-            if k == k0:
-                continue
-            v = Bk[k].eval_vec(bs_all)
-            if g.coeffs[k]:
-                v = ctx.vadd(v, ctx.vscale(g.coeffs[k], ctx.vfrob(as_, k)))
-            pre &= v == 0
-        a_idx, b_idx, c_idx, d_idx = _finish_candidates(
-            ctx, F, g, bs_all, as_, pre, live, supp_nz)
-        for a, b, c, d in zip(a_idx, b_idx, c_idx, d_idx):
-            cert = Certificate(twist, int(a), int(b), int(c), int(d))
-            if cert.verify(f, g):
-                return cert
-        return None
-
-    # no dead slot constrains a: b is restricted to the common kernel of the
-    # dead-slot q-polynomials, then a sweeps the whole field per surviving b
-    surv = np.ones(M, dtype=bool)
-    for k in dead:
-        surv &= Bk[k].eval_vec(bs_all) == 0
-    a_sweep = np.arange(M, dtype=np.int64)
-    ones = np.ones(M, dtype=bool)
-    for b in bs_all[surv]:
-        bs = np.full(M, b, dtype=np.int64)
-        a_idx, b_idx, c_idx, d_idx = _finish_candidates(
-            ctx, F, g, bs, a_sweep, ones, live, supp_nz)
-        for a, bb, c, d in zip(a_idx, b_idx, c_idx, d_idx):
-            cert = Certificate(twist, int(a), int(bb), int(c), int(d))
-            if cert.verify(f, g):
-                return cert
-    return None
-
-
-def _twist_has_certificate(ctx, F: LinPoly, g: LinPoly) -> bool:
-    """Whether some invertible M = [[a, b], [c, d]] solves
-    g(a*x + b*F(x)) = c*x + d*F(x), by one GF(p) nullspace solve.
+def _read_certificate(ctx, F: LinPoly, g: LinPoly, twist: int
+                      ) -> Optional[Certificate]:
+    """The invertible M = [[a, b], [c, d]] solving
+    g(a*x + b*F(x)) = c*x + d*F(x) with the smallest (b, a) in index order,
+    comparing b first, or None when every solution is singular.
 
     The unknowns are the e*n base-p digits of each of a, b, c, d. Digit k
     of a has the column g o (p^k * x), of b g o (p^k * F), of c -p^k * x
-    and of d -p^k * F. A scalar F is left to _search_twist, which rejects
-    it."""
-    if not any(F.coeffs[1:]):
-        return True
+    and of d -p^k * F, so the solutions form the nullspace S of one GF(p)
+    system. Index order compares base-p digits from the top one down, so
+    the digits of b and then of a are fixed in that order, each to the
+    first value that leaves an invertible point in the affine space left.
+    c and d are then fixed as well, because F is not scalar."""
     p, en = ctx.p, ctx.en
     units = p ** np.arange(en, dtype=np.int64)
     ident = np.array(LinPoly.identity(ctx).coeffs, dtype=np.int64)
@@ -312,20 +221,36 @@ def _twist_has_certificate(ctx, F: LinPoly, g: LinPoly) -> bool:
     uF = ctx.vmul(units[:, None], np.array(F.coeffs, dtype=np.int64)[None, :])
     cols = np.concatenate([_compose_rows(ctx, g, uI), _compose_rows(ctx, g, uF),
                            ctx.vneg(uI), ctx.vneg(uF)])
-    return _span_has_invertible(ctx, linalg.modp_nullspace(poly_vec(ctx, cols).T, p))
+    U = linalg.modp_nullspace(poly_vec(ctx, cols).T, p)
+    v0 = np.zeros(4 * en, dtype=np.int64)
+    if not _span_has_invertible(ctx, v0, U):
+        return None
+    # b's digits sit at en..2*en - 1 and a's at 0..en - 1: top down, b first
+    for pos in range(2 * en - 1, -1, -1):
+        rows = np.flatnonzero(U[:, pos])
+        if len(rows) == 0:
+            continue  # this digit is v0[pos] all over the space
+        u = U[rows[0]] * pow(int(U[rows[0], pos]), -1, p) % p
+        U = np.delete(U, rows[0], axis=0)
+        U = (U - np.outer(U[:, pos], u)) % p
+        v0 = next(w for w in ((v0 + (x - v0[pos]) * u) % p for x in range(p))
+                  if _span_has_invertible(ctx, w, U))
+    a, b, c, d = (int(v) for v in v0.reshape(4, en) @ units)
+    return Certificate(twist, a, b, c, d)
 
 
-def _span_has_invertible(ctx, S: np.ndarray) -> bool:
-    """Whether the GF(p)-span of the rows of S, each the digits of some
-    (a, b, c, d), holds a point where Q = a*d - b*c is nonzero.
+def _span_has_invertible(ctx, v0: np.ndarray, U: np.ndarray) -> bool:
+    """Whether the affine space v0 + GF(p)-span of the rows of U, each point
+    the digits of some (a, b, c, d), holds a point where Q = a*d - b*c is
+    nonzero.
 
-    Q(u + v) = Q(u) + Q(v) + B(u, v) with B bilinear, so Q is zero on the
-    span iff Q(u_i + u_j) = 0 for all rows u_i, u_j with i <= j; i = j
-    gives Q(2 u_i) = 4 Q(u_i), which covers u_i since p is odd."""
+    h(x) = Q(v0 + x*U) has degree at most 2 < p, so it is the zero function
+    iff all its coefficients vanish, that is iff h is zero at 0, at each
+    e_i, at each 2*e_i and at each e_i + e_j."""
     p, en = ctx.p, ctx.en
-    i, j = np.triu_indices(len(S))
-    a, b, c, d = (((S[i] + S[j]) % p).reshape(-1, 4, en)
-                  @ p ** np.arange(en, dtype=np.int64)).T
+    i, j = np.triu_indices(len(U))
+    pts = np.concatenate([v0[None], v0 + U, v0 + U[i] + U[j]]) % p
+    a, b, c, d = (pts.reshape(-1, 4, en) @ p ** np.arange(en, dtype=np.int64)).T
     return bool((ctx.vmul(a, d) != ctx.vmul(b, c)).any())
 
 
@@ -339,95 +264,92 @@ def _compose_rows(ctx, g: LinPoly, H: np.ndarray) -> np.ndarray:
     return out
 
 
-def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True,
-                        budget: int = DEFAULT_BUDGET) -> Optional[Certificate]:
-    """Search for M in GL(2, q^n) and an automorphism twist with
-    U_g = M * U_(f^twist); GL only (twist fixed to 0) when
-    with_automorphisms is off.
+def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True
+                        ) -> Optional[Certificate]:
+    """M in GL(2, q^n) and an automorphism twist with U_g = M * U_(f^twist);
+    GL only (twist fixed to 0) when with_automorphisms is off.
 
-    Each distinct twist F = f^twist is first decided by linear algebra:
-    the solutions (a, b, c, d) of g(a*x + b*F(x)) = c*x + d*F(x) form the
-    nullspace S of a GF(p) system, and F is skipped when the quadratic form
-    Q = a*d - b*c is zero on S, which holds iff Q is zero at every basis
-    vector of S and every sum of two of them. The exhaustive (b, a) search
-    runs only on the twists left. So the result is the first verified
-    certificate in (twist, b, a) candidate order, the same as a search of
-    every twist, and None is exact. Raises BudgetExceeded when the ambient
-    (a, b) search space q^(2n) exceeds the budget, also where the linear
-    check alone would decide."""
+    Exact, with no search space: each distinct twist F = f^twist is decided
+    by one GF(p) nullspace solve, and its certificate is read digit by digit
+    off that nullspace. The result is the invertible solution with the
+    smallest (twist, b, a), comparing element indices, and None proves that
+    no certificate exists. Every returned certificate has passed
+    Certificate.verify."""
     f._check(g)
     ctx = f.ctx
-    if ctx.order ** 2 > budget:
-        raise BudgetExceeded(
-            f"equivalence search space {ctx.order ** 2} exceeds budget {budget}")
     ctx._need_tables()
+    if not any(f.coeffs[1:]):
+        raise BadParams("equivalence search needs a non-scalar map on the left")
     seen = set()
     for j in range(ctx.en if with_automorphisms else 1):
         F = f.frob_twist(j)
         if F.coeffs in seen:
             continue
         seen.add(F.coeffs)
-        if not _twist_has_certificate(ctx, F, g):
+        cert = _read_certificate(ctx, F, g, j)
+        if cert is None:
             continue
-        cert = _search_twist(ctx, F, g, j, f)
-        if cert is not None:
-            return cert
+        if not cert.verify(f, g):
+            raise RuntimeError(f"{cert} read off the nullspace fails verification")
+        return cert
     return None
 
 
 # -- family membership sweeps ----------------------------------------------------
 
-def find_u1_equivalence(f: LinPoly, budget: int = DEFAULT_BUDGET
-                        ) -> Optional[Tuple[int, Certificate]]:
+def find_u1_equivalence(f: LinPoly) -> Optional[Tuple[int, Certificate]]:
     """(s, certificate) for the smallest s coprime to n with U_f equivalent
     to the single-Frobenius subspace u1(s), or None."""
     ctx = f.ctx
     for s in range(1, ctx.n):
         if math.gcd(s, ctx.n) != 1:
             continue
-        cert = subspace_equivalent(f, known_family(ctx, "u1", s=s), budget=budget)
+        cert = subspace_equivalent(f, known_family(ctx, "u1", s=s))
         if cert is not None:
             return s, cert
     return None
 
 
-def valid_u2_deltas(ctx, max_deltas: int = 10_000) -> np.ndarray:
-    """delta values admissible for u2: GF(q)-norm outside {0, 1}. All of
-    them when there are at most max_deltas, otherwise an evenly strided
-    deterministic sample."""
+def valid_u2_deltas(ctx) -> np.ndarray:
+    """Every delta admissible for u2, in index order: GF(q)-norm outside
+    {0, 1}."""
     els = np.arange(1, ctx.order, dtype=np.int64)
     norms = ctx.vpow_int(els, (ctx.order - 1) // (ctx.q - 1))
-    valid = els[norms != 1]
-    if len(valid) > max_deltas:
-        pick = np.unique(np.linspace(0, len(valid) - 1, max_deltas).astype(np.int64))
-        valid = valid[pick]
-    return valid
+    return els[norms != 1]
 
 
-def find_u2_equivalence(f: LinPoly, budget: int = DEFAULT_BUDGET,
-                        max_deltas: int = 10_000
-                        ) -> Optional[Tuple[int, int, Certificate]]:
-    """(s, delta, certificate) for the first two-term subspace u2(s, delta)
-    equivalent to U_f over the (s, delta) sweep, or None."""
+def find_u2_equivalence(f: LinPoly) -> Optional[Tuple[int, int, Certificate]]:
+    """(s, delta, certificate) for the smallest s coprime to n and then the
+    smallest valid delta with U_f equivalent to u2(s, delta), or None.
+
+    For lambda != 0, lambda^(-q^(n-s)) * u2(s, delta)(lambda*x) is
+    u2(s, delta * lambda^(q^s - q^(n-s))), so the verdict for delta holds
+    for its whole coset modulo the subgroup H of (q^s - q^(n-s))-th powers.
+    H has index m = gcd(q^s - q^(n-s), q^n - 1), and delta^((q^n - 1)/m)
+    names the coset. One delta per coset is tested, the smallest valid
+    one, in increasing order, so the answer is that of a sweep over every
+    valid delta."""
     ctx = f.ctx
-    valid = valid_u2_deltas(ctx, max_deltas)
+    N = ctx.mult_order
+    valid = valid_u2_deltas(ctx)
     for s in range(1, ctx.n):
         if math.gcd(s, ctx.n) != 1:
             continue
-        for delta in valid:
+        m = math.gcd((ctx.q ** s - ctx.q ** (ctx.n - s)) % N, N)
+        _, first = np.unique(ctx.vpow_int(valid, N // m), return_index=True)
+        for delta in np.sort(valid[first]):
             g = known_family(ctx, "u2", s=s, delta=int(delta))
-            cert = subspace_equivalent(f, g, budget=budget)
+            cert = subspace_equivalent(f, g)
             if cert is not None:
                 return s, int(delta), cert
     return None
 
 
-def pseudoregulus_test(f: LinPoly, budget: int = DEFAULT_BUDGET) -> bool:
+def pseudoregulus_test(f: LinPoly) -> bool:
     """True iff U_f is equivalent to some u1(s), s coprime to n."""
-    return find_u1_equivalence(f, budget=budget) is not None
+    return find_u1_equivalence(f) is not None
 
 
-def lp_type_test(f: LinPoly, budget: int = DEFAULT_BUDGET,
-                 max_deltas: int = 10_000) -> bool:
-    """True iff U_f is equivalent to some u2(s, delta) over the sweep."""
-    return find_u2_equivalence(f, budget=budget, max_deltas=max_deltas) is not None
+def lp_type_test(f: LinPoly) -> bool:
+    """True iff U_f is equivalent to some u2(s, delta)."""
+    return find_u2_equivalence(f) is not None

@@ -96,13 +96,21 @@ def test_equiv_family_targets(capsys):
     assert obj["family_member"] is False
 
 
-def test_equiv_budget_exit_code(capsys):
-    rc, _, err = _run(capsys, ["equiv", "--p", "3", "--t", "4",
-                               "--left", "psi:1", "--right", "psi:7",
-                               "--budget", "10"])
-    assert rc == 3
-    assert "budget exceeded" in err
-    assert "exceeds budget 10" in err
+def test_equiv_lp_type_exact_at_n8(capsys):
+    # psi_1 is new at n = 8: no u2(s, delta) is equivalent to it, and the
+    # sweep covers every valid delta through one per coset
+    obj = _run_json(capsys, ["equiv", "--p", "3", "--t", "4",
+                             "--left", "psi:1", "--right", "lp-type"])
+    assert obj["family_member"] is False
+
+
+def test_equiv_budget_option_rejected(capsys):
+    # equivalence is exact linear algebra, so there is no budget to set
+    with pytest.raises(SystemExit) as ex:
+        cli.main(["equiv", "--p", "3", "--t", "4", "--left", "psi:1",
+                  "--right", "psi:7", "--budget", "10"])
+    assert ex.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_bad_inputs_exit_code(capsys):

@@ -176,3 +176,13 @@ def test_digits_roundtrip(ctx923):
         digs = ctx.digits(a)
         assert len(digs) == ctx.en
         assert ctx.from_digits(digs) == a
+
+
+def test_inverse_without_tables(ctx33, ctx923):
+    # every nonzero a at (3,3); at q = 9 one no-table inverse costs about
+    # 1 ms, so every 401st element stands in for the 531440 of them
+    for ctx, step in ((ctx33, 1), (ctx923, 401)):
+        bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
+        assert not bare.has_tables
+        for a in [*range(1, ctx.order, step), ctx.order - 1]:
+            assert bare.inv(a) == ctx.inv(a), a
