@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
 
 from scatpoly.errors import BadParams, EvenP, NonPrimeP, ReducibleModulus, TSmall
-from scatpoly.fields import FieldSpec, build_field, is_irreducible, smallest_irreducible
+from scatpoly.fields import (FieldCtx, FieldSpec, _SLICE, build_field, is_irreducible,
+                             smallest_irreducible)
 
 
 def test_parameter_validation():
@@ -180,9 +183,73 @@ def test_digits_roundtrip(ctx923):
 
 def test_inverse_without_tables(ctx33, ctx923):
     # every nonzero a at (3,3); at q = 9 one no-table inverse costs about
-    # 1 ms, so every 401st element stands in for the 531440 of them
-    for ctx, step in ((ctx33, 1), (ctx923, 401)):
+    # 55 us, so every 29th element stands in for the 531440 of them
+    for ctx, step in ((ctx33, 1), (ctx923, 29)):
         bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
         assert not bare.has_tables
         for a in [*range(1, ctx.order, step), ctx.order - 1]:
             assert bare.inv(a) == ctx.inv(a), a
+
+
+# -- the tables, each checked against arithmetic that reads no table ----------
+
+
+def test_exp_matches_powers(ctx33, ctx923):
+    # every j at (3,3); elsewhere both sides of each doubling step 2^k and
+    # of each slice edge of the build, where a wrong offset would show
+    ctx = ctx33
+    acc = 1
+    for j in range(ctx.mult_order):
+        assert ctx._exp[j] == acc, j
+        acc = ctx._mul_nt(acc, ctx.omega)
+    assert acc == 1
+    for ctx in (build_field(5, 1, 4), ctx923):
+        M = ctx.mult_order
+        edges = {1 << k for k in range(M.bit_length())} | set(range(_SLICE, M, _SLICE))
+        for j in sorted({j + d for j in edges for d in (-1, 0)} | {M - 1}):
+            if j < M:
+                assert ctx._exp[j] == ctx._pow_nt(ctx.omega, j), (ctx, j)
+
+
+def test_zech_is_log_of_one_plus(ctx33, ctx53, ctx923):
+    # zech[k] = log(1 + omega^k) by digitwise addition; -1 only at k = M/2,
+    # where omega^k = -1
+    for ctx, step in ((ctx33, 1), (ctx53, 97), (ctx923, 331)):
+        M = ctx.mult_order
+        assert np.flatnonzero(ctx._zech == -1).tolist() == [M // 2]
+        assert ctx.add(1, ctx.gen_power(M // 2)) == 0
+        for k in [*range(0, M, step), M - 1]:
+            if k != M // 2:
+                assert ctx._exp[ctx._zech[k]] == ctx.add(1, int(ctx._exp[k])), (ctx, k)
+
+
+def test_frob_table_is_frobenius_matrix(ctx33, ctx923):
+    # frob_q[x] is the q-Frobenius matrix applied to the digits of x
+    for ctx, step in ((ctx33, 1), (ctx923, 7)):
+        xs = np.arange(0, ctx.order, step, dtype=np.int64)
+        digs = xs // np.array(ctx._ppow[:ctx.en], dtype=np.int64)[:, None] % ctx.p
+        images = ctx._frob_matrix(1) @ digs % ctx.p
+        assert np.array_equal(ctx._frob_q[xs], np.array(ctx._ppow[:ctx.en]) @ images)
+
+
+def test_build_rejects_non_generator():
+    # omega^2 has order (q^n - 1)/2, so half the nonzero elements get no log
+    for key in ((3, 1, 3), (5, 1, 3)):
+        ctx = FieldCtx(FieldSpec(*key), use_tables=False)
+        ctx.omega = ctx._mul_nt(ctx.omega, ctx.omega)
+        with pytest.raises(RuntimeError):
+            ctx._build_tables()
+
+
+def test_table_build_peak_memory():
+    # the four int64 tables are 32 bytes per element; the build may add at
+    # most 32 more of transients (tracemalloc counts allocations, so the
+    # peak does not depend on timing)
+    for key in ((5, 1, 4), (3, 2, 3)):
+        tracemalloc.start()
+        try:
+            ctx = FieldCtx(FieldSpec(*key))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * ctx.order, (key, peak / ctx.order)
