@@ -209,13 +209,38 @@ class FieldCtx:
     # -- construction ------------------------------------------------------
 
     def _find_generator(self) -> int:
-        M = self.mult_order
+        """The smallest index c >= 2 with c^((q^n - 1)/r) != 1 for every
+        prime r dividing q^n - 1. Candidates go in batches, 16 at first and
+        doubling up to 256: their multiplication matrices are squared mod p,
+        once per bit of q^n - 1, and each power c^m is read as the product
+        of the squares for the bits of m applied to the digits of 1."""
+        p, en, M = self.p, self.en, self.mult_order
         prime_parts = [M // r for r in sorted(sympy.factorint(M))]
-        cand = 2
-        while True:
-            if all(self._pow_nt(cand, m) != 1 for m in prime_parts):
-                return cand
-            cand += 1
+        # M_(x^d), the matrix of y -> x^d * y, for every digit position d
+        X = self._mult_matrix(p)
+        basis = [np.eye(en, dtype=np.int64)]
+        for _ in range(en - 1):
+            basis.append(X @ basis[-1] % p)
+        basis = np.stack(basis)
+        one = basis[0, :, 0]
+        pows = np.array(self._ppow[:en], dtype=np.int64)
+        lo, size = 2, 16
+        while lo < self.order:
+            cand = np.arange(lo, min(lo + size, self.order), dtype=np.int64)
+            lo, size = lo + size, min(2 * size, 256)
+            squares = [np.einsum("bd,drc->brc", cand[:, None] // pows % p, basis) % p]
+            for _ in range(M.bit_length() - 1):
+                squares.append(squares[-1] @ squares[-1] % p)
+            ok = np.ones(len(cand), dtype=bool)
+            for m in prime_parts:
+                v = np.broadcast_to(one, (len(cand), en))
+                for k in range(m.bit_length()):
+                    if m >> k & 1:
+                        v = np.einsum("brc,bc->br", squares[k], v) % p
+                ok &= (v != one).any(axis=1)
+            if ok.any():
+                return int(cand[ok.argmax()])
+        raise RuntimeError("no generator found")  # unreachable: GF(q^n)* is cyclic
 
     def _build_tables(self):
         # Digit planes V[:, j] = digits(omega^j), filled by doubling:

@@ -124,13 +124,22 @@ def qpoly_matrices(ctx, coeff_cols: np.ndarray) -> np.ndarray:
     return _contract(T, _digit_planes(coeff_cols, p, en), p).reshape(en, en, B)
 
 
-def _mult_matrices(ctx, elems: np.ndarray) -> np.ndarray:
-    """GF(p)-matrices M_a of y -> a*y for every a in the 1-d array elems,
-    as an (e*n * e*n, B) array of residues: row ri * e*n + ci, column b
-    holds M_a[ri, ci] for a = elems[b]."""
+def digit_contract(ctx, T: np.ndarray, elems: np.ndarray) -> np.ndarray:
+    """sum_d digit_d(a) * T[d] mod p for every a in elems, d running over
+    the e*n base-p digits: an array of shape T.shape[1:] + elems.shape of
+    residues in the kernel's type. Every map that is GF(p)-linear in a,
+    such as a -> M_a, has such a tensor T, so one contraction of the digit
+    planes of a batch gives all its matrices."""
     p, en = ctx.p, ctx.en
-    T0 = ctx.action_tensor()[:en].reshape(en, en * en).T
-    return _contract(T0, _digit_planes(np.reshape(elems, (1, -1)), p, en), p)
+    T = np.asarray(T)
+    out = _contract(T.reshape(en, -1).T, _digit_planes(np.reshape(elems, (1, -1)), p, en), p)
+    return out.reshape(T.shape[1:] + np.shape(elems))
+
+
+def mult_tensor(ctx) -> np.ndarray:
+    """(e*n, e*n, e*n) stack of the matrices M_(p^d) of y -> x^d * y, so
+    that M_a is the digit contraction of a against it."""
+    return ctx.action_tensor()[:ctx.en]
 
 
 def batch_rank(ctx, mats: np.ndarray) -> np.ndarray:
@@ -138,9 +147,8 @@ def batch_rank(ctx, mats: np.ndarray) -> np.ndarray:
     becomes its block M_a, and the GF(p) rank is e*n times the field rank."""
     p, en = ctx.p, ctx.en
     B, r, c = np.shape(mats)
-    entries = np.transpose(mats, (1, 2, 0))
     # blocks[ri, ci, rb, cb, b] = M_a[ri, ci] for a = mats[b, rb, cb]
-    blocks = _mult_matrices(ctx, entries).reshape(en, en, r, c, B)
+    blocks = digit_contract(ctx, mult_tensor(ctx), np.transpose(mats, (1, 2, 0)))
     A = blocks.transpose(2, 0, 3, 1, 4).reshape(r * en, c * en, B)
     return _modp_ranks(A, p) // en
 
@@ -149,10 +157,15 @@ def shift_dickson_ranks(ctx, A: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """Ranks as GF(q)-linear maps of f + m*id for every m in ms, where A is
     f's (e*n, e*n) GF(p)-matrix: each matrix is A + M_m, so only the e*n
     digit planes of m are contracted."""
-    p, en = ctx.p, ctx.en
-    mats = _mult_matrices(ctx, ms)
-    mats += np.reshape(A, (en * en, 1)).astype(mats.dtype)
-    return _modp_ranks(_reduce(mats, p).reshape(en, en, -1), p) // ctx.e
+    mats = digit_contract(ctx, mult_tensor(ctx), ms)
+    mats += np.asarray(A)[:, :, None].astype(mats.dtype)
+    return _modp_ranks(_reduce(mats, ctx.p), ctx.p) // ctx.e
+
+
+def digit_dickson_ranks(ctx, T: np.ndarray, elems: np.ndarray) -> np.ndarray:
+    """Ranks as GF(q)-linear maps of the matrices sum_d digit_d(a) * T[d]
+    for every a in elems, T being an (e*n, e*n, e*n) tensor."""
+    return _modp_ranks(digit_contract(ctx, T, elems), ctx.p) // ctx.e
 
 
 def batch_dickson_rank(ctx, coeff_cols: np.ndarray) -> np.ndarray:

@@ -144,27 +144,45 @@ class LinPoly:
         return out
 
     def _fibers(self):
-        """(bins, counts) of x -> f(x)/x on nonzero x, in the log domain:
-        bins[i] = log f(x) - log x mod (q^n - 1) at x = i + 1, and q^n - 1
-        where f(x) = 0, which keeps the kernel apart; counts[b] is the size
-        of the fiber of omega^b, and counts[-1] that of 0."""
+        """(bins, occupied, sizes) of x -> f(x)/x on nonzero x, in the log
+        domain.
+
+        f is GF(q)-linear, so f(lam*x)/(lam*x) = f(x)/x for lam in GF(q)*,
+        and GF(q)* is generated by omega^R, R = (q^n - 1)/(q - 1): every
+        fiber is a union of orbits x*GF(q)*, each with one representative
+        omega^j, j < R. So f is evaluated at those R elements only, by A_f
+        on their digit planes. bins[j] = log f(x) - j mod (q^n - 1) at
+        x = omega^j, and q^n - 1 where f(x) = 0, which keeps the kernel
+        apart. occupied holds the distinct bins in ascending order, the
+        kernel's last, and sizes the sizes of their fibers, q - 1 times
+        their numbers of representatives."""
         ctx = self.ctx
         ctx._need_tables()
-        M = ctx.mult_order
-        fx = self.eval_all()[1:]
-        bins = ctx._log[fx]
-        bins -= ctx._log[1:]
-        bins %= M
-        bins[fx == 0] = M
-        return bins, np.bincount(bins, minlength=M + 1)
+        p, M = ctx.p, ctx.mult_order
+        R = M // (ctx.q - 1)
+        A = self.matrix()
+        bins = np.empty(R, dtype=np.int64)
+        for lo in range(0, R, linalg.SLICE):
+            hi = min(lo + linalg.SLICE, R)
+            rows = linalg.digit_contract(ctx, A.T, ctx._exp[lo:hi])
+            fx = rows[-1].astype(np.int64)
+            for r in range(ctx.en - 2, -1, -1):
+                fx *= p
+                fx += rows[r]
+            b = bins[lo:hi]
+            np.subtract(ctx._log[fx], np.arange(lo, hi), out=b)
+            np.add(b, M, out=b, where=b < 0)
+            b[fx == 0] = M
+        occupied, reps = np.unique(bins, return_counts=True)
+        return bins, occupied, reps * (ctx.q - 1)
 
     def line_values(self) -> np.ndarray:
         """Sorted distinct values of f(x)/x over nonzero x."""
-        counts = self._fibers()[1]
-        vals = self.ctx._exp[np.flatnonzero(counts[:-1])]
-        if counts[-1]:
-            vals = np.append(vals, 0)
-        return np.sort(vals)
+        ctx = self.ctx
+        occupied = self._fibers()[1]
+        if occupied[-1] == ctx.mult_order:
+            return np.sort(np.append(ctx._exp[occupied[:-1]], 0))
+        return np.sort(ctx._exp[occupied])
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -222,8 +240,7 @@ class LinPoly:
     def fiber_histogram(self) -> Counter:
         """Multiset of fiber sizes of x -> f(x)/x on nonzero x, as a Counter
         mapping fiber size to the number of fibers of that size."""
-        counts = self._fibers()[1]
-        sizes, mult = np.unique(counts[counts > 0], return_counts=True)
+        sizes, mult = np.unique(self._fibers()[2], return_counts=True)
         return Counter({int(s): int(m) for s, m in zip(sizes, mult)})
 
     # -- serialization ------------------------------------------------------

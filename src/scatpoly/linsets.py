@@ -126,23 +126,31 @@ def known_family(ctx, name: str, **params) -> LinPoly:
 
 # -- set-level comparisons -------------------------------------------------------
 
+def _inclusion_tensor(f: LinPoly, g: LinPoly) -> np.ndarray:
+    """(e*n, e*n, e*n) stack whose slot d is M_(f(p^d)) - M_(p^d) A_g; the
+    GF(p)-matrix of Y -> f(x)*Y - g(Y)*x is the sum of the slots weighted
+    by the digits of x, since f(x) and M_a are GF(p)-linear in x and a."""
+    A_f = f.matrix()
+    Mp = linalg.mult_tensor(f.ctx)
+    # M_(f(p^d)) = sum_k digit_k(f(p^d)) * M_(p^k), with digit_k(f(p^d)) = A_f[k, d]
+    return (np.einsum("kd,krc->drc", A_f, Mp) - Mp @ g.matrix()) % f.ctx.p
+
+
 def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
     """L_f subset of L_g, decided without enumerating L_g's fibers: the point
     of L_f at x lies in L_g iff Y -> f(x)*Y - g(Y)*x has nonzero kernel,
-    i.e. iff its Dickson matrix is singular. Batched over all nonzero x."""
+    i.e. iff its Dickson matrix is singular.
+
+    That map at lam*x, lam in GF(q)*, is lam times the map at x, and x and
+    lam*x give the same point, so x runs over the GF(q)*-orbit
+    representatives omega^j, j < (q^n - 1)/(q - 1), only; each matrix is
+    the digit contraction of x against one inclusion tensor."""
     f._check(g)
     ctx = f.ctx
-    n, M = ctx.n, ctx.order
-    xs = np.arange(1, M, dtype=np.int64)
-    fx = f.eval_all()[1:]
-    for lo, hi in linalg.sweep_slices(M - 1):
-        sl = slice(lo, hi)
-        cols = np.empty((n, hi - lo), dtype=np.int64)
-        cols[0] = ctx.vsub(fx[sl], ctx.vscale(g.coeffs[0], xs[sl]))
-        for i in range(1, n):
-            cols[i] = ctx.vneg(ctx.vscale(g.coeffs[i], xs[sl]))
-        ranks = linalg.batch_dickson_rank(ctx, cols)
-        if np.any(ranks == n):
+    ctx._need_tables()
+    T = _inclusion_tensor(f, g)
+    for lo, hi in linalg.sweep_slices(ctx.mult_order // (ctx.q - 1)):
+        if np.any(linalg.digit_dickson_ranks(ctx, T, ctx._exp[lo:hi]) == ctx.n):
             return False
     return True
 

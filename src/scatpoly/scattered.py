@@ -121,20 +121,28 @@ def check_witness(f: LinPoly, witness: Tuple[int, int]) -> bool:
 def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
     """Count distinct values of f(x)/x over nonzero x: the map is scattered
     iff there are (q^n - 1)/(q - 1) of them. On failure returns the fiber
-    witness associated with the smallest oversized value."""
+    witness associated with the smallest oversized value.
+
+    The pass evaluates f at the GF(q)*-orbit representatives omega^j,
+    j < R = (q^n - 1)/(q - 1), only (see LinPoly._fibers). The chosen
+    fiber is rebuilt from its representatives as omega^(j + R*k),
+    k < q - 1, and sorted, which gives the same index-ordered fiber, and
+    so the same witness, as a pass over every nonzero x."""
     ctx = f.ctx
-    bins, counts = f._fibers()
-    n_values = int(np.count_nonzero(counts))
+    bins, occupied, sizes = f._fibers()
+    n_values = len(occupied)
     if n_values == (ctx.order - 1) // (ctx.q - 1):
         return ScatterVerdict(True, "fibers", None, n_values, None)
     # bins run in log order, values in index order: 0, whose bin is the
     # last, comes first; else take the oversized value of smallest index
-    if counts[-1] > ctx.q - 1:
-        b = ctx.mult_order
+    big = occupied[sizes > ctx.q - 1]
+    if big[-1] == ctx.mult_order:
+        b = big[-1]
     else:
-        big = np.flatnonzero(counts[:-1] > ctx.q - 1)
         b = big[np.argmin(ctx._exp[big])]
-    witness = _witness_in_fiber(ctx, np.flatnonzero(bins == b) + 1)
+    R = len(bins)
+    js = np.flatnonzero(bins == b) + R * np.arange(ctx.q - 1)[:, None]
+    witness = _witness_in_fiber(ctx, np.sort(ctx._exp[js.ravel()]))
     return ScatterVerdict(False, "fibers", witness, n_values, None)
 
 
@@ -173,28 +181,37 @@ def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
     return ScatterVerdict(False, "ranks", witness, None, m)
 
 
+def _commutator_tensor(f: LinPoly) -> np.ndarray:
+    """(e*n, e*n, e*n) stack whose slot d is A_f M_(p^d) - M_(p^d) A_f, the
+    GF(p)-matrix of x -> f(p^d * x) - p^d * f(x); the matrix of
+    C_rho(x) = f(rho*x) - rho*f(x) is the sum of the slots weighted by the
+    digits of rho."""
+    A = f.matrix()
+    Mp = linalg.mult_tensor(f.ctx)
+    return (A @ Mp - Mp @ A) % f.ctx.p
+
+
 def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     """Search for (rho, x), rho outside GF(q), x nonzero, f(rho*x) = rho*f(x);
-    such a pair exists iff f is not scattered. rho runs over ascending
-    generator powers, deterministic. Returns None when f is scattered."""
+    such a pair exists iff f is not scattered. rho = omega^j is the hit of
+    smallest j, and x the smallest nonzero index in the kernel of
+    C_rho(x) = f(rho*x) - rho*f(x). Returns None when f is scattered.
+
+    f is GF(q)-linear, so C_(lam*rho) = lam*C_rho for lam in GF(q)*, which
+    is generated by omega^R, R = (q^n - 1)/(q - 1): rho and lam*rho have
+    the same kernel. If omega^j hits, so does omega^(j mod R), and j mod R
+    is nonzero since omega^j lies outside GF(q). The first hit over every
+    rho outside GF(q) therefore has j < R, and the sweep runs over
+    j in [1, R) only, ranking each C_rho from the digit planes of rho
+    against one commutator tensor."""
     ctx = f.ctx
     ctx._need_tables()
-    M = ctx.order
-    step = (M - 1) // (ctx.q - 1)  # GF(q)* is the index-step power subgroup
-    js = np.arange(1, M, dtype=np.int64)
-    js = js[js % step != 0]
     n = ctx.n
-    for lo, hi in linalg.sweep_slices(len(js)):
-        rhos = ctx._exp[js[lo:hi]]
-        cols = np.empty((n, len(rhos)), dtype=np.int64)
-        cur = rhos
-        for i in range(n):
-            # coefficient of x^(q^i) in f(rho*x) - rho*f(x)
-            cols[i] = ctx.vmul(np.full_like(rhos, f.coeffs[i]), ctx.vsub(cur, rhos))
-            if i + 1 < n:
-                cur = ctx.vfrob(cur, 1)
-        ranks = linalg.batch_dickson_rank(ctx, cols)
-        hit = np.flatnonzero(ranks < n)
+    R = ctx.mult_order // (ctx.q - 1)
+    T = _commutator_tensor(f)
+    for lo, hi in linalg.sweep_slices(R - 1):
+        rhos = ctx._exp[lo + 1:hi + 1]
+        hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < n)
         if len(hit):
             rho = int(rhos[hit[0]])
             g = LinPoly(ctx, [ctx.mul(f.coeffs[i], ctx.sub(ctx.frob(rho, i), rho))

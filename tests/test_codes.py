@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatpoly.errors import BadHypotheses, CtxMismatch
 from scatpoly import linalg
@@ -54,6 +56,27 @@ def test_rank_distribution_totals(ctx33):
     assert dist[ctx.n] >= ctx.order - 1  # the identity span sits at full rank
     assert dist.csv_rows()[0] == (0, 1)
     assert dist.to_json()["total"] == dist.total
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_rank_distribution_sums_to_code_size(pet, data):
+    ctx = build_field(*pet)
+    kind = data.draw(st.sampled_from(["psi", "random", "scalar"]))
+    if kind == "psi":
+        f = build_psi(ctx, data.draw(st.integers(1, ctx.n - 1)))
+    elif kind == "scalar":
+        f = LinPoly.monomial(ctx, data.draw(st.integers(0, ctx.order - 1)), 0)
+    else:
+        elem = st.integers(0, ctx.order - 1)
+        f = LinPoly(ctx, data.draw(st.lists(elem, min_size=ctx.n, max_size=ctx.n)))
+    dist = rank_distribution(build_code(f))
+    # one count for every pair (a, b) of a*f + b*id
+    assert sum(dist.counts) == ctx.order ** 2 == ctx.q ** (2 * ctx.n)
+    # a*f + b*id with a != 0 is singular iff -b/a is a value of f(x)/x;
+    # with a = 0 only the zero word is
+    assert sum(dist.counts[:ctx.n]) - 1 == (ctx.order - 1) * len(f.line_values())
 
 
 def test_min_distance_known_values(ctx33, ctx53):

@@ -97,6 +97,24 @@ def test_omega_generates(ctx33):
         assert ctx33.pow_(ctx33.omega, top // f) != 1
 
 
+def _first_generator(ctx):
+    """The smallest index c >= 2 whose powers by (q^n - 1)/r, r prime, are
+    all different from 1, by scalar square-and-multiply."""
+    M = ctx.mult_order
+    parts = [M // r for r in sympy.factorint(M)]
+    return next(c for c in range(2, ctx.order)
+                if all(ctx._pow_nt(c, m) != 1 for m in parts))
+
+
+@pytest.mark.parametrize("key", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 1, 5), (3, 2, 3),
+                                 (5, 1, 4), (13, 1, 3), (191, 1, 3)])
+def test_omega_is_first_generator(key):
+    # every field the test suite and the benchmark build, tables or not:
+    # the tables are indexed by log base omega, so omega fixes their bytes
+    ctx = build_field(*key, use_tables=False)
+    assert ctx.omega == _first_generator(ctx)
+
+
 def test_frobenius(ctx33, ctx923):
     for ctx in (ctx33, ctx923):
         rng = np.random.default_rng(11)

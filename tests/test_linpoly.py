@@ -94,6 +94,22 @@ def test_adjoint_trace_pairing(ctx33):
     assert f.adjoint().rank() == f.rank()
 
 
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_compose_and_adjoint_identities(pet, data):
+    ctx = build_field(*pet)
+    elem = st.integers(0, ctx.order - 1)
+    coeffs = st.lists(elem, min_size=ctx.n, max_size=ctx.n)
+    f, g = LinPoly(ctx, data.draw(coeffs)), LinPoly(ctx, data.draw(coeffs))
+    fg = f.compose(g)
+    assert np.array_equal(fg.matrix(), f.matrix() @ g.matrix() % ctx.p)
+    assert fg.adjoint() == g.adjoint().compose(f.adjoint())
+    fh = f.adjoint()
+    for x, y in data.draw(st.lists(st.tuples(elem, elem), min_size=1, max_size=10)):
+        assert ctx.trace(ctx.mul(y, f(x))) == ctx.trace(ctx.mul(x, fh(y)))
+
+
 def test_eval_vec_matches_scalar(ctx34):
     rng = np.random.default_rng(26)
     f = _rand_poly(ctx34, rng)

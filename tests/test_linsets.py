@@ -12,6 +12,7 @@ from scatpoly.fields import build_field
 from scatpoly.linpoly import LinPoly, poly_vec
 from scatpoly.linsets import (
     Certificate,
+    _inclusion_tensor,
     _read_certificate,
     _span_has_invertible,
     find_u1_equivalence,
@@ -158,6 +159,37 @@ def test_inclusion_dickson_matches_set_oracle(ctx33):
     for f, g in pairs:
         oracle = bool(np.isin(linear_set(f), linear_set(g)).all())
         assert inclusion_dickson(f, g) == oracle
+
+
+def _draw_map(data, ctx):
+    """psi_k, a drawn scalar multiple of psi_k, or a random map."""
+    kind = data.draw(st.sampled_from(["psi", "scaled", "random"]))
+    elem = st.integers(0, ctx.order - 1)
+    if kind == "random":
+        return LinPoly(ctx, data.draw(st.lists(elem, min_size=ctx.n, max_size=ctx.n)))
+    f = build_psi(ctx, data.draw(st.integers(1, ctx.n - 1)))
+    return f.scale(data.draw(st.integers(1, ctx.order - 1))) if kind == "scaled" else f
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_inclusion_tensor_and_verdict(pet, data):
+    ctx = build_field(*pet)
+    f = _draw_map(data, ctx)
+    # f and its adjoint have the same linear set, so some verdicts are True
+    g = {"same": f, "adjoint": f.adjoint(), "other": None}[
+        data.draw(st.sampled_from(["same", "adjoint", "other"]))] or _draw_map(data, ctx)
+    T = _inclusion_tensor(f, g)
+    xs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=8))
+    mats = linalg.digit_contract(ctx, T, np.array(xs, dtype=np.int64))
+    for b, x in enumerate(xs):
+        # Y -> f(x)*Y - g(Y)*x as a q-polynomial in Y
+        h = LinPoly(ctx, [ctx.sub(f(x) if i == 0 else 0, ctx.mul(g.coeffs[i], x))
+                          for i in range(ctx.n)])
+        assert np.array_equal(mats[:, :, b], h.matrix())
+    oracle = bool(np.isin(linear_set(f), linear_set(g)).all())
+    assert inclusion_dickson(f, g) == oracle
 
 
 def test_coefficient_prefilter(ctx33):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from scatpoly.errors import BadK, NotScattered
 from scatpoly.fields import build_field
+from scatpoly.linalg import batch_dickson_rank, digit_contract
 from scatpoly.linpoly import LinPoly
 from scatpoly.scattered import (
+    _commutator_tensor,
     _halves,
     alpha_poly,
     baer_partition_check,
@@ -272,3 +275,101 @@ def test_halves_match_frobenius_masks(fixture, request):
     sub, wstar = _halves(ctx)
     assert np.array_equal(np.sort(sub), els[frobt == els])
     assert np.array_equal(np.sort(wstar), els[ctx.vadd(els, frobt) == 0])
+
+
+# -- orbit sweeps against full-field passes -------------------------------------
+
+def _full_field_fibers(f):
+    """The f(x)/x pass over every nonzero x: log f(x) - log x for each x,
+    q^n - 1 where f(x) = 0, and the fiber size of every bin."""
+    ctx = f.ctx
+    M = ctx.mult_order
+    fx = f.eval_all()[1:]
+    bins = (ctx._log[fx] - ctx._log[1:]) % M
+    bins[fx == 0] = M
+    return bins, np.bincount(bins, minlength=M + 1)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_orbit_fiber_pass_matches_full_field_pass(pet, data):
+    ctx = build_field(*pet)
+    f = _draw_poly(data, ctx)
+    bins, counts = _full_field_fibers(f)
+    vals = ctx._exp[np.flatnonzero(counts[:-1])]
+    if counts[-1]:
+        vals = np.append(vals, 0)
+    assert np.array_equal(f.line_values(), np.sort(vals))
+    sizes = counts[counts > 0]
+    assert f.fiber_histogram() == Counter(sizes.tolist())
+    vf = is_scattered_fibers(f)
+    assert vf.n_values == len(sizes)
+    assert vf.scattered == (len(sizes) == (ctx.order - 1) // (ctx.q - 1))
+    if vf.scattered:
+        return
+    # the fiber of 0 when it is too large, else the oversized value of
+    # smallest index; y its first element, z the first with z/y outside GF(q)
+    if counts[-1] > ctx.q - 1:
+        v = 0
+        fiber = np.flatnonzero(bins == ctx.mult_order) + 1
+    else:
+        big = np.flatnonzero(counts[:-1] > ctx.q - 1)
+        b = big[np.argmin(ctx._exp[big])]
+        v = int(ctx._exp[b])
+        fiber = np.flatnonzero(bins == b) + 1
+    y = int(fiber[0])
+    z = next(int(x) for x in fiber if not ctx.in_subfield(ctx.div(int(x), y)))
+    assert vf.witness == (y, z)
+    assert ctx.div(f(y), y) == v
+
+
+def _brute_witness(f):
+    """The first rho = omega^j outside GF(q), j ascending over every
+    j < q^n - 1, with f(rho*x) = rho*f(x) for some nonzero x, and the
+    smallest such x: each rho ranked through the coefficients of
+    f(rho*x) - rho*f(x), each x tested pointwise."""
+    ctx = f.ctx
+    n, M = ctx.n, ctx.mult_order
+    R = M // (ctx.q - 1)
+    js = np.array([j for j in range(1, M) if j % R], dtype=np.int64)
+    for lo in range(0, len(js), 4096):
+        rhos = ctx._exp[js[lo:lo + 4096]]
+        cols = np.array([ctx.vscale(f.coeffs[i], ctx.vsub(ctx.vfrob(rhos, i), rhos))
+                         for i in range(n)])
+        hit = np.flatnonzero(batch_dickson_rank(ctx, cols) < n)
+        if len(hit):
+            rho = int(rhos[hit[0]])
+            xs = np.arange(1, ctx.order, dtype=np.int64)
+            fx = f.eval_all()
+            same = fx[ctx.vscale(rho, xs)] == ctx.vscale(rho, fx[1:])
+            return rho, int(xs[np.flatnonzero(same)[0]])
+    return None
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_witness_search_matches_brute_force_over_every_rho(pet, data):
+    ctx = build_field(*pet)
+    f = _draw_poly(data, ctx)
+    # at q = 9 the brute force over all 531440 rho of a scattered map
+    # takes several seconds
+    assume(ctx.order < 10 ** 5 or not is_scattered_fibers(f).scattered)
+    assert nonscattered_witness_search(f) == _brute_witness(f)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_commutator_tensor_is_matrix_of_commutator(pet, data):
+    ctx = build_field(*pet)
+    f = _draw_poly(data, ctx)
+    T = _commutator_tensor(f)
+    rhos = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=8))
+    mats = digit_contract(ctx, T, np.array(rhos, dtype=np.int64))
+    for b, rho in enumerate(rhos):
+        # f(rho*x) - rho*f(x) = sum_i f_i (rho^(q^i) - rho) x^(q^i)
+        g = LinPoly(ctx, [ctx.mul(f.coeffs[i], ctx.sub(ctx.frob(rho, i), rho))
+                          for i in range(ctx.n)])
+        assert np.array_equal(mats[:, :, b], g.matrix())
