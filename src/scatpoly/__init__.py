@@ -3,7 +3,8 @@ they cut out on a projective line, and the rank-metric codes they span."""
 
 from .errors import (ScatpolyError, NonPrimeP, EvenP, TSmall,
                      ReducibleModulus, CtxMismatch, BadK, BadParams,
-                     NotScattered, BadHypotheses, NotDisjointFromSigma)
+                     NotScattered, BadHypotheses, NotDisjointFromSigma,
+                     FieldTooLarge)
 from .fields import FieldSpec, FieldCtx, build_field
 from .linpoly import LinPoly
 from .scattered import (alpha_poly, beta_poly, build_psi, theorem_predicate,
@@ -24,14 +25,14 @@ from .geometry import (ProjSubspace, sigma_point, apply_sigma_point,
 from .codes import (RankCode, build_code, RankDistribution,
                     rank_distribution, min_rank_distance, is_mrd,
                     adjoint_code, code_equivalent, IdealiserReport,
-                    idealiser, count_new_codes, modp_action_matrix)
+                    idealiser, count_new_codes)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ScatpolyError", "NonPrimeP", "EvenP", "TSmall", "ReducibleModulus",
     "CtxMismatch", "BadK", "BadParams", "NotScattered",
-    "BadHypotheses", "NotDisjointFromSigma",
+    "BadHypotheses", "NotDisjointFromSigma", "FieldTooLarge",
     "FieldSpec", "FieldCtx", "build_field",
     "LinPoly",
     "alpha_poly", "beta_poly", "build_psi", "theorem_predicate",
@@ -48,5 +49,5 @@ __all__ = [
     "orbit_subspace",
     "RankCode", "build_code", "RankDistribution", "rank_distribution",
     "min_rank_distance", "is_mrd", "adjoint_code", "code_equivalent",
-    "IdealiserReport", "idealiser", "count_new_codes", "modp_action_matrix",
+    "IdealiserReport", "idealiser", "count_new_codes",
 ]

@@ -5,7 +5,9 @@ GF(q)-algebra of q-polynomials; distance between codewords is the rank of
 their difference as a GF(q)-linear map. Scalar multiples share a rank, so
 every distance-type quantity is computed over the q^n + 1 projective
 representative classes (1, b) and (0, 1). Idealisers (one-sided stabilizing
-subalgebras) come from an exact GF(p)-nullspace solve, never from search.
+subalgebras) come from an exact GF(p)-nullspace solve, never from search;
+they compose through the GF(p) composition matrices L_c and R_c of
+LinPoly, so they need no field tables.
 """
 
 from __future__ import annotations
@@ -20,15 +22,6 @@ from .errors import BadHypotheses, CtxMismatch
 from .linpoly import LinPoly, poly_vec, vec_poly
 from .scattered import shift_ranks
 from . import linalg, linsets
-
-
-# -- GF(p) coordinates for q-polynomials --------------------------------------
-
-def modp_action_matrix(f: LinPoly) -> np.ndarray:
-    """Matrix of f acting on GF(q^n) as a GF(p)-space, in the polynomial
-    basis; its GF(p)-rank is e times the Dickson rank."""
-    cols = np.array(f.coeffs, dtype=np.int64)[:, None]
-    return linalg.qpoly_matrices(f.ctx, cols)[:, :, 0].astype(np.int64)
 
 
 # -- the code ------------------------------------------------------------------
@@ -174,42 +167,27 @@ class IdealiserReport:
                 "is_field": self.is_field}
 
 
-def _member_fn(ctx, vecs: np.ndarray):
-    """Membership test for the GF(p)-rowspan of vecs, via the kernel of its
-    annihilator (double annihilator over a field)."""
-    K = linalg.modp_nullspace(vecs, ctx.p)
-    if len(K) == 0:
-        return lambda v: True
-    return lambda v: not ((K @ v) % ctx.p).any()
-
-
 def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
               ) -> IdealiserReport:
     """One-sided stabilizing subalgebra, by exact linear solve over GF(p).
 
     An unknown q-polynomial phi (n*(e*n) digit unknowns) lies in the left
     idealiser iff phi o c stays in the code for every c in a GF(p)-basis of
-    the code; composing each digit-basis monomial with c is GF(p)-linear in
-    phi, so each c contributes a block of linear conditions through the
-    code's membership kernel. The right side swaps the composition order.
+    the code. In poly_vec coordinates phi o c is R_c phi, so each c
+    contributes the block K R_c of linear conditions, K being the code's
+    membership kernel. The right side swaps the composition order, c o phi
+    being L_c phi. The closure and commutativity flags read the products
+    u o v of basis elements off L_u times the basis.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     ctx = code.ctx
-    p, en, D = ctx.p, ctx.en, ctx.n * ctx.en
+    p, en = ctx.p, ctx.en
     ident = LinPoly.identity(ctx)
     gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
     K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
-    monos = [LinPoly.monomial(ctx, p ** d, s)
-             for s in range(ctx.n) for d in range(en)]
-    blocks = []
-    if len(K):
-        for c in gens:
-            comps = [b.compose(c) if side == "left" else c.compose(b) for b in monos]
-            A = poly_vec(ctx, [h.coeffs for h in comps]).T
-            blocks.append((K @ A) % p)
-    cond = np.concatenate(blocks) if blocks else np.zeros((0, D), dtype=np.int64)
-    xi = linalg.modp_nullspace(cond, p)
+    comp = LinPoly.right_matrix if side == "left" else LinPoly.left_matrix
+    xi = linalg.modp_nullspace(np.concatenate([K @ comp(c) % p for c in gens]), p)
     basis = tuple(vec_poly(ctx, v) for v in xi)
     dim_p = len(xi)
 
@@ -217,13 +195,13 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     verdict = True if (check_flags or not dim_p) else None
     closed = commutative = all_invertible = contains_identity = verdict
     if check_flags and dim_p:
-        member = _member_fn(ctx, xi)
-        contains_identity = member(poly_vec(ctx, ident.coeffs))
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                closed = closed and member(poly_vec(ctx, u.compose(v).coeffs))
-                if j > i:
-                    commutative = commutative and u.compose(v) == v.compose(u)
+        # membership in the span of xi: the kernel of its annihilator
+        member = linalg.modp_nullspace(xi, p)
+        contains_identity = not (member @ poly_vec(ctx, ident.coeffs) % p).any()
+        # C[i][:, j] holds the coordinates of basis[i] o basis[j]
+        C = np.stack([u.left_matrix() @ xi.T % p for u in basis])
+        closed = not (member @ C % p).any()
+        commutative = np.array_equal(C, C.transpose(2, 1, 0))
         # every nonzero GF(p)-combination of the basis, up to the first
         # singular one
         place = p ** np.arange(dim_p, dtype=np.int64)

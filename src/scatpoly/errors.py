@@ -44,3 +44,9 @@ class BadHypotheses(ScatpolyError):
 
 class NotDisjointFromSigma(ScatpolyError):
     """A projective subspace meets the fixed subgeometry it must avoid."""
+
+
+class FieldTooLarge(ScatpolyError):
+    """The field is above TABLE_LIMIT elements (or was built without
+    tables) for an operation that needs the tables or an array over every
+    element."""

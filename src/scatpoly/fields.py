@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 import sympy
 
-from .errors import BadParams, EvenP, NonPrimeP, ReducibleModulus, TSmall
+from .errors import (BadParams, EvenP, FieldTooLarge, NonPrimeP,
+                     ReducibleModulus, TSmall)
 
 TABLE_LIMIT = 1 << 26
 _SLICE = 1 << 16  # columns per step of the table build
@@ -516,8 +517,16 @@ class FieldCtx:
 
     def _need_tables(self):
         if not self.has_tables:
-            raise RuntimeError("vector kernels require table mode "
-                               f"(field has {self.order} elements)")
+            raise FieldTooLarge("vector kernels need table mode, which fields of "
+                                f"at most {TABLE_LIMIT} elements get (field has "
+                                f"{self.order})")
+
+    def _need_whole_field(self):
+        """Raise FieldTooLarge before an array over every element of a
+        field above TABLE_LIMIT is made."""
+        if self.order > TABLE_LIMIT:
+            raise FieldTooLarge(f"whole-field passes need at most {TABLE_LIMIT} "
+                                f"elements (field has {self.order})")
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._need_tables()

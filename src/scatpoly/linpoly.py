@@ -125,6 +125,7 @@ class LinPoly:
         whole field grows from its first entry in e*n block steps; the rows
         are then assembled into indices, top digit first."""
         ctx = self.ctx
+        ctx._need_whole_field()
         p, order = ctx.p, ctx.order
         A = self.matrix()
         # residues below p stay below 2p < 128 before their reduction
@@ -202,6 +203,21 @@ class LinPoly:
                 out[m] = ctx.add(out[m], ctx.mul(fi, ctx.frob(gj, i)))
         return LinPoly(ctx, out)
 
+    def left_matrix(self) -> np.ndarray:
+        """L_f, the GF(p)-matrix with poly_vec(f o h) = L_f poly_vec(h):
+        block (m, j) is the matrix of the monomial f_(m-j) x^(q^(m-j))."""
+        ctx = self.ctx
+        mono = linalg.qpoly_matrices(ctx, np.diag(np.array(self.coeffs, dtype=np.int64)))
+        lag = (np.arange(ctx.n)[:, None] - np.arange(ctx.n)) % ctx.n
+        return _block_matrix(mono[:, :, lag])
+
+    def right_matrix(self) -> np.ndarray:
+        """R_f, with poly_vec(h o f) = R_f poly_vec(h): block (m, i) is M_a
+        for a = f_(m-i)^(q^i), entry (i, m) of the Dickson matrix."""
+        ctx = self.ctx
+        vals = np.array(self.dickson(), dtype=np.int64).T
+        return _block_matrix(linalg.digit_contract(ctx, linalg.mult_tensor(ctx), vals))
+
     def adjoint(self) -> "LinPoly":
         """The map f^ with Tr(y * f(x)) = Tr(x * f^(y)) for all x, y."""
         ctx = self.ctx
@@ -267,3 +283,10 @@ def poly_vec(ctx, coeffs) -> np.ndarray:
 def vec_poly(ctx, v: np.ndarray) -> LinPoly:
     """The q-polynomial with GF(p)-vector v; inverse of poly_vec."""
     return LinPoly(ctx, np.reshape(v, (ctx.n, ctx.en)) @ ctx.p ** np.arange(ctx.en))
+
+
+def _block_matrix(T: np.ndarray) -> np.ndarray:
+    """The int64 matrix on poly_vec coordinates whose (e*n, e*n) block
+    (m, j) is T[:, :, m, j]."""
+    en, _, n, _ = T.shape
+    return T.transpose(2, 0, 3, 1).reshape(n * en, n * en).astype(np.int64)

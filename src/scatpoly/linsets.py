@@ -17,7 +17,10 @@ form Q on S. On an affine space v0 + span(U), Q has degree 2 < p in the
 coordinates, so it vanishes everywhere iff it vanishes at v0, v0 + u_i,
 v0 + 2*u_i and v0 + u_i + u_j. That test rules a twist out, and, applied
 digit by digit, reads off S the certificate with the smallest (b, a).
-Every certificate returned is re-verified by explicit composition.
+The system is built from the composition matrix L_g (LinPoly.left_matrix)
+and Q is evaluated through M_a, so equivalence needs no field tables and
+runs above TABLE_LIMIT. Every certificate returned is re-verified by
+explicit composition.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BadParams
-from .linpoly import LinPoly, poly_vec
+from .linpoly import LinPoly
 from . import linalg
 
 
@@ -209,27 +212,23 @@ class Certificate:
         return g.compose(h) == rhs
 
 
-def _read_certificate(ctx, F: LinPoly, g: LinPoly, twist: int
+def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
                       ) -> Optional[Certificate]:
     """The invertible M = [[a, b], [c, d]] solving
     g(a*x + b*F(x)) = c*x + d*F(x) with the smallest (b, a) in index order,
     comparing b first, or None when every solution is singular.
 
-    The unknowns are the e*n base-p digits of each of a, b, c, d. Digit k
-    of a has the column g o (p^k * x), of b g o (p^k * F), of c -p^k * x
-    and of d -p^k * F, so the solutions form the nullspace S of one GF(p)
-    system. Index order compares base-p digits from the top one down, so
+    The unknowns are the e*n base-p digits of each of a, b, c, d. With X_k
+    and P_k the poly_vec coordinates of p^k * x and p^k * F, digit k of a
+    has the column L_g X_k, of b L_g P_k, of c -X_k and of d -P_k, so the
+    solutions form the nullspace S of one GF(p) system. Index order compares base-p digits from the top one down, so
     the digits of b and then of a are fixed in that order, each to the
     first value that leaves an invertible point in the affine space left.
     c and d are then fixed as well, because F is not scalar."""
     p, en = ctx.p, ctx.en
-    units = p ** np.arange(en, dtype=np.int64)
-    ident = np.array(LinPoly.identity(ctx).coeffs, dtype=np.int64)
-    uI = ctx.vmul(units[:, None], ident[None, :])
-    uF = ctx.vmul(units[:, None], np.array(F.coeffs, dtype=np.int64)[None, :])
-    cols = np.concatenate([_compose_rows(ctx, g, uI), _compose_rows(ctx, g, uF),
-                           ctx.vneg(uI), ctx.vneg(uF)])
-    U = linalg.modp_nullspace(poly_vec(ctx, cols).T, p)
+    X = np.eye(len(L_g), en, dtype=np.int64)
+    P = F.right_matrix() @ X  # (p^k * x) o F = p^k * F
+    U = linalg.modp_nullspace(np.concatenate([L_g @ X, L_g @ P, -X, -P], axis=1) % p, p)
     v0 = np.zeros(4 * en, dtype=np.int64)
     if not _span_has_invertible(ctx, v0, U):
         return None
@@ -243,7 +242,7 @@ def _read_certificate(ctx, F: LinPoly, g: LinPoly, twist: int
         U = (U - np.outer(U[:, pos], u)) % p
         v0 = next(w for w in ((v0 + (x - v0[pos]) * u) % p for x in range(p))
                   if _span_has_invertible(ctx, w, U))
-    a, b, c, d = (int(v) for v in v0.reshape(4, en) @ units)
+    a, b, c, d = (int(v) for v in v0.reshape(4, en) @ p ** np.arange(en, dtype=np.int64))
     return Certificate(twist, a, b, c, d)
 
 
@@ -254,22 +253,15 @@ def _span_has_invertible(ctx, v0: np.ndarray, U: np.ndarray) -> bool:
 
     h(x) = Q(v0 + x*U) has degree at most 2 < p, so it is the zero function
     iff all its coefficients vanish, that is iff h is zero at 0, at each
-    e_i, at each 2*e_i and at each e_i + e_j."""
+    e_i, at each 2*e_i and at each e_i + e_j. The digits of a*d are M_a
+    applied to those of d: sum_(k,c) a_k d_c M_(p^k) e_c."""
     p, en = ctx.p, ctx.en
     i, j = np.triu_indices(len(U))
     pts = np.concatenate([v0[None], v0 + U, v0 + U[i] + U[j]]) % p
-    a, b, c, d = (pts.reshape(-1, 4, en) @ p ** np.arange(en, dtype=np.int64)).T
-    return bool((ctx.vmul(a, d) != ctx.vmul(b, c)).any())
-
-
-def _compose_rows(ctx, g: LinPoly, H: np.ndarray) -> np.ndarray:
-    """Coefficient rows of g o h for every coefficient row h of H, by
-    (g o h)_m = sum_i g_i * h_(m-i)^(q^i)."""
-    out = np.zeros_like(H)
-    for i, gi in enumerate(g.coeffs):
-        if gi:
-            out = ctx.vadd(out, ctx.vscale(gi, ctx.vfrob(np.roll(H, i, axis=1), i)))
-    return out
+    a, b, c, d = pts.reshape(-1, 4, en).transpose(1, 0, 2)
+    W = a[:, :, None] * d[:, None, :] - b[:, :, None] * c[:, None, :]
+    T = linalg.mult_tensor(ctx).transpose(0, 2, 1).reshape(en * en, en)
+    return bool((W.reshape(len(pts), -1) @ T % p).any())
 
 
 def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True
@@ -285,16 +277,16 @@ def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True
     Certificate.verify."""
     f._check(g)
     ctx = f.ctx
-    ctx._need_tables()
     if not any(f.coeffs[1:]):
         raise BadParams("equivalence search needs a non-scalar map on the left")
+    L_g = g.left_matrix()
     seen = set()
     for j in range(ctx.en if with_automorphisms else 1):
         F = f.frob_twist(j)
         if F.coeffs in seen:
             continue
         seen.add(F.coeffs)
-        cert = _read_certificate(ctx, F, g, j)
+        cert = _read_certificate(ctx, L_g, F, j)
         if cert is None:
             continue
         if not cert.verify(f, g):
@@ -321,6 +313,7 @@ def find_u1_equivalence(f: LinPoly) -> Optional[Tuple[int, Certificate]]:
 def valid_u2_deltas(ctx) -> np.ndarray:
     """Every delta admissible for u2, in index order: GF(q)-norm outside
     {0, 1}."""
+    ctx._need_tables()
     els = np.arange(1, ctx.order, dtype=np.int64)
     norms = ctx.vpow_int(els, (ctx.order - 1) // (ctx.q - 1))
     return els[norms != 1]

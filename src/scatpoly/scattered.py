@@ -151,6 +151,7 @@ def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
     ms is None), as GF(p)-matrices A_f + M_m, linalg.SLICE at a time."""
     ctx = f.ctx
     if ms is None:
+        ctx._need_whole_field()
         ms = np.arange(ctx.order, dtype=np.int64)
     A = f.matrix()
     out = [np.zeros(0, dtype=np.int64)]
@@ -165,6 +166,7 @@ def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
     Stops after the first slice with a violation, so the full sweep cost
     is paid only on scattered inputs."""
     ctx = f.ctx
+    ctx._need_whole_field()
     m = None
     for lo, hi in linalg.sweep_slices(ctx.order):
         ms = np.arange(lo, hi, dtype=np.int64)

@@ -131,6 +131,22 @@ def test_bad_inputs_exit_code(capsys):
         assert err.startswith("invalid config:"), argv
 
 
+def test_field_above_table_limit(capsys):
+    # 191^6 elements: whole-field passes are refused with exit 2, while
+    # equivalence needs no tables and answers
+    for cmd in ("verify-scattered", "geometry", "code-report"):
+        rc, out, err = _run(capsys, [cmd, "--p", "191", "--t", "3", "--k", "1"])
+        assert rc == 2 and out == "", cmd
+        assert err.startswith("invalid config:") and "Traceback" not in err, cmd
+        assert len(err.splitlines()) == 1, cmd
+    rc, out, err = _run(capsys, ["equiv", "--p", "191", "--t", "3",
+                                 "--left", "psi:1", "--right", "lp-type"])
+    assert rc == 2 and err.startswith("invalid config:") and "Traceback" not in err
+    obj = _run_json(capsys, ["equiv", "--p", "191", "--t", "3",
+                             "--left", "psi:1", "--right", "psi:5"])
+    assert obj["certificate"] is not None and obj["verified"] is True
+
+
 def test_modulus_file(capsys, tmp_path):
     default = _run_json(capsys, ["verify-scattered", "--p", "3", "--t", "3",
                                  "--k", "1"])

@@ -14,7 +14,6 @@ from scatpoly.codes import (
     idealiser,
     is_mrd,
     min_rank_distance,
-    modp_action_matrix,
     rank_distribution,
 )
 from scatpoly.linpoly import LinPoly
@@ -122,10 +121,15 @@ def test_code_equivalent_scaling(ctx33):
 
 
 def test_modp_action_matrix(ctx923):
+    # the GF(p)-matrix of f, from its pointwise images and from one column
+    # of the batched kernel
     ctx = ctx923
     rng = np.random.default_rng(41)
     f = LinPoly(ctx, [int(c) for c in rng.integers(0, ctx.order, size=ctx.n)])
-    mat = modp_action_matrix(f)
+    mat = f.matrix()
+    col = linalg.qpoly_matrices(ctx, np.array(f.coeffs, dtype=np.int64)[:, None])
+    assert col.shape == (ctx.en, ctx.en, 1)
+    assert np.array_equal(col[:, :, 0], mat)
     assert mat.shape == (ctx.en, ctx.en)
     # matrix acts on prime-field digit vectors exactly as f acts on elements
     for x in (1, ctx.omega, ctx.order - 2):
@@ -133,8 +137,7 @@ def test_modp_action_matrix(ctx923):
         out = mat @ digs % ctx.p
         assert ctx.from_digits([int(v) for v in out]) == f(x)
     # prime-field rank is e times the GF(q)-rank of the map
-    from scatpoly.linalg import modp_rref
-    _, piv = modp_rref(mat, ctx.p)
+    _, piv = linalg.modp_rref(mat, ctx.p)
     assert len(piv) == ctx.e * f.rank()
 
 
@@ -169,6 +172,20 @@ def test_idealiser_skip_flags(ctx53):
     assert rep.dim_q == ctx53.n
     assert rep.closed is None and rep.all_invertible is None
     assert rep.is_field is None
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (3, 2, 3)])
+def test_idealisers_need_no_tables(pet):
+    ctx, bare = build_field(*pet), build_field(*pet, use_tables=False)
+    assert not bare.has_tables
+    for k in range(1, ctx.n):
+        for side in ("left", "right"):
+            # at q = 9 the flags enumerate up to 3^12 elements on the left,
+            # and 3^24 on both sides of psi_t(x) = x^(q^t)
+            flags = ctx.q < 9 or (side == "right" and k != ctx.t)
+            want = idealiser(build_code(build_psi(ctx, k)), side, flags)
+            got = idealiser(build_code(build_psi(bare, k)), side, flags)
+            assert got.to_json() == want.to_json()
 
 
 def test_count_new_codes():

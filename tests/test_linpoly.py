@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scatpoly.errors import CtxMismatch
 from scatpoly.fields import build_field
-from scatpoly.linpoly import LinPoly
+from scatpoly.linpoly import LinPoly, poly_vec, vec_poly
 from scatpoly.scattered import build_psi, is_scattered_fibers, shift_ranks
 
 
@@ -108,6 +108,29 @@ def test_compose_and_adjoint_identities(pet, data):
     fh = f.adjoint()
     for x, y in data.draw(st.lists(st.tuples(elem, elem), min_size=1, max_size=10)):
         assert ctx.trace(ctx.mul(y, f(x))) == ctx.trace(ctx.mul(x, fh(y)))
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_composition_matrices_match_compose(pet, data):
+    # poly_vec(f o h) = L_f poly_vec(h) and poly_vec(h o f) = R_f poly_vec(h)
+    ctx = build_field(*pet)
+    coeffs = st.lists(st.integers(0, ctx.order - 1), min_size=ctx.n, max_size=ctx.n)
+    f = LinPoly(ctx, data.draw(coeffs))
+    hs = [LinPoly(ctx, data.draw(coeffs)) for _ in range(3)]
+    hs += [LinPoly.identity(ctx), LinPoly.monomial(ctx, ctx.p, ctx.n - 1)]
+    L, R = f.left_matrix(), f.right_matrix()
+    D = ctx.n * ctx.en
+    assert L.shape == R.shape == (D, D) and L.dtype == R.dtype == np.int64
+    for h in hs:
+        v = poly_vec(ctx, h.coeffs)
+        assert vec_poly(ctx, L @ v % ctx.p) == f.compose(h)
+        assert vec_poly(ctx, R @ v % ctx.p) == h.compose(f)
+    # built without tables, the same matrices
+    bare = LinPoly(build_field(*pet, use_tables=False), f.coeffs)
+    assert np.array_equal(bare.left_matrix(), L)
+    assert np.array_equal(bare.right_matrix(), R)
 
 
 def test_eval_vec_matches_scalar(ctx34):

@@ -355,7 +355,7 @@ def test_linear_check_finds_a_general_certificate(ctx33):
         f = LinPoly(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.n)])
         g = _general_pair(ctx, f, 0, 1, 1, 1, m1)
     assert Certificate(0, 1, 1, 1, m1).verify(f, g)
-    cert = _read_certificate(ctx, f, g, 0)
+    cert = _read_certificate(ctx, g.left_matrix(), f, 0)
     assert cert is not None and cert.verify(f, g)
 
 
@@ -431,7 +431,7 @@ def test_linear_check_agrees_with_exhaustive_search(ctx33, data):
         if F in seen:
             continue
         seen.add(F)
-        cert = _read_certificate(ctx, F, g, j)
+        cert = _read_certificate(ctx, g.left_matrix(), F, j)
         assert cert == _oracle_certificate(ctx, F, g, j)
         verdicts.append(cert is not None)
     assert any(verdicts) or kind == "sparse"
@@ -456,6 +456,43 @@ def test_certificates_above_the_old_budget(ctx923):
     for f, g in pairs:
         cert = subspace_equivalent(f, g)
         assert cert is not None and cert.verify(f, g)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (3, 2, 3)])
+def test_equivalence_needs_no_tables(pet):
+    # the table-free twin of a field reads the same certificates, and
+    # its vector kernels stay unused
+    ctx, bare = build_field(*pet), build_field(*pet, use_tables=False)
+    assert not bare.has_tables and bare.modulus == ctx.modulus
+    rng = random.Random(10)
+    pairs = [(build_psi(ctx, k).coeffs, build_psi(ctx, m).coeffs)
+             for k in range(1, ctx.n) for m in (1, ctx.n - k)]
+    for _ in range(4):
+        f = LinPoly(ctx, [rng.randrange(ctx.order) for _ in range(ctx.n)])
+        g = _built_pair(ctx, f, rng.randrange(ctx.en), rng.randrange(1, ctx.order),
+                        rng.randrange(1, ctx.order))
+        pairs += [(f.coeffs, g.coeffs),
+                  (f.coeffs, [rng.randrange(ctx.order) for _ in range(ctx.n)])]
+    found = 0
+    for f, g in pairs:
+        if not any(f[1:]):
+            continue
+        want = subspace_equivalent(LinPoly(ctx, f), LinPoly(ctx, g))
+        got = subspace_equivalent(LinPoly(bare, f), LinPoly(bare, g))
+        assert got == want
+        found += want is not None
+    assert found >= ctx.n - 1
+
+
+def test_equivalence_above_the_table_limit():
+    # p^6 = 191^6 is far above the table limit; psi_5 = psi_1^-1, so
+    # U_(psi_5) is the swap of U_(psi_1) and a certificate exists
+    ctx = build_field(191, 1, 3)
+    assert not ctx.has_tables
+    f, g = build_psi(ctx, 1), build_psi(ctx, 5)
+    assert g.compose(f) == LinPoly.identity(ctx)
+    cert = subspace_equivalent(f, g)
+    assert cert is not None and cert.verify(f, g)
 
 
 def _coprime_shifts(ctx):

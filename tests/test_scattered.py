@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scatpoly.errors import BadK, NotScattered
+from scatpoly.errors import BadK, FieldTooLarge, NotScattered
 from scatpoly.fields import build_field
 from scatpoly.linalg import batch_dickson_rank, digit_contract
 from scatpoly.linpoly import LinPoly
@@ -373,3 +373,16 @@ def test_commutator_tensor_is_matrix_of_commutator(pet, data):
         g = LinPoly(ctx, [ctx.mul(f.coeffs[i], ctx.sub(ctx.frob(rho, i), rho))
                           for i in range(ctx.n)])
         assert np.array_equal(mats[:, :, b], g.matrix())
+
+
+def test_whole_field_passes_refuse_fields_above_the_table_limit():
+    # 191^6 elements: each pass raises before it allocates, and a sweep
+    # given its shifts still runs (psi_1 is invertible, with inverse psi_5)
+    ctx = build_field(191, 1, 3)
+    f = build_psi(ctx, 1)
+    for call in (f.eval_all, f.line_values, lambda: shift_ranks(f),
+                 lambda: is_scattered_ranks(f), lambda: is_scattered_fibers(f),
+                 lambda: nonscattered_witness_search(f)):
+        with pytest.raises(FieldTooLarge):
+            call()
+    assert shift_ranks(f, np.array([0], dtype=np.int64)).tolist() == [ctx.n]
