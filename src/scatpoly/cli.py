@@ -36,8 +36,8 @@ def _read_modulus(path):
     return coeffs
 
 
-def _build_ctx(args):
-    return build_field(args.p, args.e, args.t,
+def _build_ctx(args, use_tables=None):
+    return build_field(args.p, args.e, args.t, use_tables=use_tables,
                        modulus=_read_modulus(args.modulus_file))
 
 
@@ -59,13 +59,16 @@ def _require_json(args):
                          " (code-report)")
 
 
+LP_TYPE = ("lp-type", "lp_type", "lptype")
+
+
 def parse_target(ctx, spec: str):
     """Target grammar: psi:K | u1:S | u2:S,DELTA | u3:S,DELTA | u4:DELTA
     | u5:H | pseudoregulus | lp-type."""
     s = spec.strip().lower()
     if s == "pseudoregulus":
         return "pseudoregulus", None
-    if s in ("lp-type", "lp_type", "lptype"):
+    if s in LP_TYPE:
         return "lp-type", None
     name, _, rest = s.partition(":")
     parts = [tok for tok in rest.split(",") if tok] if rest else []
@@ -128,7 +131,9 @@ def cmd_code_report(args) -> int:
 
 def cmd_equiv(args) -> int:
     _require_json(args)
-    ctx = _build_ctx(args)
+    # only the lp-type test reads the tables (linsets.valid_u2_deltas)
+    lp_type = args.right.strip().lower() in LP_TYPE
+    ctx = _build_ctx(args, use_tables=None if lp_type else False)
     kind_l, f = parse_target(ctx, args.left)
     if kind_l != "poly":
         raise ValueError("--left must name a polynomial target")

@@ -517,9 +517,9 @@ class FieldCtx:
 
     def _need_tables(self):
         if not self.has_tables:
-            raise FieldTooLarge("vector kernels need table mode, which fields of "
-                                f"at most {TABLE_LIMIT} elements get (field has "
-                                f"{self.order})")
+            raise FieldTooLarge("vector kernels and orbit sweeps need the "
+                                f"tables, which fields of at most {TABLE_LIMIT} "
+                                f"elements get (field has {self.order})")
 
     def _need_whole_field(self):
         """Raise FieldTooLarge before an array over every element of a

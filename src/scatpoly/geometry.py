@@ -164,18 +164,15 @@ def meets_sigma_orbit(S: ProjSubspace) -> Optional[int]:
     """First u != 0 with P_u in S, or None when S misses the whole orbit.
 
     Each equation row e, read as the q-polynomial sum_i e_i x^(q^i),
-    vanishes at u exactly when the covector vanishes at P_u, so the scan
-    is a common-kernel sweep over whole-field evaluations.
+    vanishes at u exactly when the covector vanishes at P_u, so u runs
+    over the common kernel of their stacked GF(p)-matrices, whose
+    nullspace basis starts with its smallest element (see
+    linalg.modp_nullspace). Reads no tables.
     """
     ctx = S.ctx
-    if not S.equations:
-        return 1 if ctx.order > 1 else None
-    mask = np.ones(ctx.order - 1, dtype=bool)
-    for eq in S.equations:
-        mask &= LinPoly(ctx, eq).eval_all()[1:] == 0
-        if not mask.any():
-            return None
-    return int(np.flatnonzero(mask)[0]) + 1
+    A = np.reshape([LinPoly(ctx, eq).matrix() for eq in S.equations], (-1, ctx.en))
+    basis = linalg.modp_nullspace(A, ctx.p)
+    return ctx.from_digits(basis[0]) if len(basis) else None
 
 
 def intn(S: ProjSubspace, sigma_power: int = 1) -> int:
@@ -205,19 +202,13 @@ def projection_slopes(gamma: ProjSubspace, k: int, us: np.ndarray) -> np.ndarray
     pencil equation e2(P_u)*e1 - e1(P_u)*e2; restricted to the line it reads
     c0*x_0 + c1*x_(n-k) = 0, giving the point (1, -c0/c1).
     """
-    us = np.asarray(us, dtype=np.int64)
-    return _slopes(gamma, k, lambda f: f.eval_vec(us))
-
-
-def _slopes(gamma: ProjSubspace, k: int, values) -> np.ndarray:
-    """projection_slopes at the inputs on which values(f) evaluates f."""
     ctx = gamma.ctx
     if len(gamma.equations) != 2:
         raise ScatpolyError("projection needs a subspace of codimension 2")
     e1, e2 = gamma.equations
     nk = (ctx.n - int(k)) % ctx.n
-    lam = values(LinPoly(ctx, e2))
-    mu = ctx.vneg(values(LinPoly(ctx, e1)))
+    lam = LinPoly(ctx, e2).eval_vec(us)
+    mu = ctx.vneg(LinPoly(ctx, e1).eval_vec(us))
     c0 = ctx.vadd(ctx.vscale(e1[0], lam), ctx.vscale(e2[0], mu))
     c1 = ctx.vadd(ctx.vscale(e1[nk], lam), ctx.vscale(e2[nk], mu))
     if (c1 == 0).any():
@@ -229,7 +220,8 @@ def project_to_line(gamma: ProjSubspace, k: int) -> np.ndarray:
     """Point set on the target line swept by all P_u, u != 0, as sorted
     normalized slopes; equals the linear set of 2*psi_k when gamma is the
     distinguished subspace for k."""
-    slopes = _slopes(gamma, k, lambda f: f.eval_all()[1:])
+    gamma.ctx._need_whole_field()
+    slopes = projection_slopes(gamma, k, np.arange(1, gamma.ctx.order, dtype=np.int64))
     # return_counts makes numpy sort; without it numpy 2.3 and later hash
     return np.unique(slopes, return_counts=True)[0]
 

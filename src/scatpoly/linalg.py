@@ -112,6 +112,47 @@ def _contract(T: np.ndarray, planes: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def apply_matrix(ctx, A: np.ndarray, xs) -> np.ndarray:
+    """Indices of A x for every x in xs, A being an (e*n, e*n) GF(p)-matrix
+    on digit vectors, by a digit contraction of xs, SLICE elements at a
+    time, whose digit rows are assembled top digit first. Reads no
+    tables."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.empty(xs.size, dtype=np.int64)
+    for lo in range(0, xs.size, SLICE):
+        rows = digit_contract(ctx, A.T, xs.ravel()[lo:lo + SLICE])
+        v = out[lo:lo + SLICE]
+        v[:] = rows[-1]
+        for r in rows[-2::-1]:
+            v *= ctx.p
+            v += r
+    return out.reshape(xs.shape)
+
+
+def span_indices(A: np.ndarray, p: int) -> np.ndarray:
+    """Indices of A c for every c in GF(p)^k in counting order, c_0 least
+    significant, A being an (e*n, k) matrix mod p: f(x) for every x in
+    index order when A = A_f, a kernel ascending when A is the transpose
+    of a modp_nullspace basis. Digit row r of A (c + j*u_d), c zero from
+    coordinate d on, is that of A c plus j*A[r, d], so each row grows from
+    its first entry in k block steps, one addition each."""
+    # residues below p stay below 2p < 128 before their reduction
+    row = np.empty(p ** A.shape[1], dtype=np.int8 if p < 64 else np.int16)
+    out = np.zeros(len(row), dtype=np.int64)
+    for r in reversed(range(len(A))):
+        row[0] = 0
+        size = 1
+        for a in A[r].tolist():
+            for j in range(1, p):
+                blk = row[j * size:(j + 1) * size]
+                np.add(row[(j - 1) * size:j * size], a, out=blk)
+                np.subtract(blk, p, out=blk, where=blk >= p)
+            size *= p
+        out *= p
+        out += row
+    return out
+
+
 def qpoly_matrices(ctx, coeff_cols: np.ndarray) -> np.ndarray:
     """GF(p)-matrices of a batch of q-polynomials, as an (e*n, e*n, B)
     stack of residues in the kernel's type.
@@ -269,13 +310,15 @@ def modp_rref(mat: np.ndarray, p: int):
 
 
 def modp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis rows of {v : mat v = 0 mod p}, one per free column f_k in
+    ascending order; row k is 1 at f_k and 0 at the other free columns and
+    beyond f_k. For the kernel of a GF(p)-matrix on digit vectors, row 0 is
+    thus the smallest nonzero element, and span_indices(basis.T, p) lists
+    the kernel ascending."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    ncols = mat.shape[1]
     R, pivots = modp_rref(mat, p)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, pj in enumerate(pivots):
-            basis[k, pj] = (-R[i, f]) % p
+    free = [j for j in range(mat.shape[1]) if j not in pivots]
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:, free].T % p
     return basis

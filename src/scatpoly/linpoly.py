@@ -100,15 +100,9 @@ class LinPoly:
         return out
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        ctx = self.ctx
-        out = np.zeros_like(xs)
-        cur = xs
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = ctx.vadd(out, ctx.vscale(c, cur))
-            if i + 1 < ctx.n:
-                cur = ctx.vfrob(cur, 1)
-        return out
+        """f(x) for every x in xs, by A_f on the digit planes of xs; reads
+        no tables."""
+        return linalg.apply_matrix(self.ctx, self.matrix(), xs)
 
     def matrix(self) -> np.ndarray:
         """A_f, the (e*n, e*n) GF(p)-matrix of f on digit vectors: column d
@@ -118,72 +112,45 @@ class LinPoly:
                         dtype=np.int64).T
 
     def eval_all(self) -> np.ndarray:
-        """f(x) for every x in index order, by GF(p)-linearity and no tables.
-
-        For x = x_low + j*p^d with x_low < p^d, digit row r of f(x) is that
-        of f(x_low) plus j*A_f[r, d] mod p, so each row of digits over the
-        whole field grows from its first entry in e*n block steps; the rows
-        are then assembled into indices, top digit first."""
-        ctx = self.ctx
-        ctx._need_whole_field()
-        p, order = ctx.p, ctx.order
-        A = self.matrix()
-        # residues below p stay below 2p < 128 before their reduction
-        row = np.empty(order, dtype=np.int8 if p < 64 else np.int16)
-        out = np.zeros(order, dtype=np.int64)
-        for r in reversed(range(ctx.en)):
-            row[0] = 0
-            size = 1
-            for a in A[r].tolist():
-                for j in range(1, p):
-                    blk = row[j * size:(j + 1) * size]
-                    np.add(row[(j - 1) * size:j * size], a, out=blk)
-                    np.subtract(blk, p, out=blk, where=blk >= p)
-                size *= p
-            out *= p
-            out += row
-        return out
+        """f(x) for every x in index order, by GF(p)-linearity and no tables
+        (see linalg.span_indices)."""
+        self.ctx._need_whole_field()
+        return linalg.span_indices(self.matrix(), self.ctx.p)
 
     def _fibers(self):
-        """(bins, occupied, sizes) of x -> f(x)/x on nonzero x, in the log
-        domain.
+        """(occupied, sizes) of x -> f(x)/x on nonzero x, in the log domain.
 
         f is GF(q)-linear, so f(lam*x)/(lam*x) = f(x)/x for lam in GF(q)*,
         and GF(q)* is generated by omega^R, R = (q^n - 1)/(q - 1): every
         fiber is a union of orbits x*GF(q)*, each with one representative
         omega^j, j < R. So f is evaluated at those R elements only, by A_f
-        on their digit planes. bins[j] = log f(x) - j mod (q^n - 1) at
-        x = omega^j, and q^n - 1 where f(x) = 0, which keeps the kernel
-        apart. occupied holds the distinct bins in ascending order, the
-        kernel's last, and sizes the sizes of their fibers, q - 1 times
-        their numbers of representatives."""
+        on their digit planes. At x = omega^j the bin is
+        log f(x) - j mod (q^n - 1), and q^n - 1 where f(x) = 0, which keeps
+        the kernel apart. occupied holds the distinct bins in ascending
+        order, the kernel's last, and sizes the sizes of their fibers, q - 1
+        times their numbers of representatives. The fiber of the value v is
+        ker(A_f - M_v) minus 0."""
         ctx = self.ctx
         ctx._need_tables()
-        p, M = ctx.p, ctx.mult_order
+        M = ctx.mult_order
         R = M // (ctx.q - 1)
         A = self.matrix()
         bins = np.empty(R, dtype=np.int64)
         for lo in range(0, R, linalg.SLICE):
-            hi = min(lo + linalg.SLICE, R)
-            rows = linalg.digit_contract(ctx, A.T, ctx._exp[lo:hi])
-            fx = rows[-1].astype(np.int64)
-            for r in range(ctx.en - 2, -1, -1):
-                fx *= p
-                fx += rows[r]
-            b = bins[lo:hi]
-            np.subtract(ctx._log[fx], np.arange(lo, hi), out=b)
+            b = bins[lo:lo + linalg.SLICE]
+            fx = linalg.apply_matrix(ctx, A, ctx._exp[lo:lo + len(b)])
+            np.subtract(ctx._log[fx], np.arange(lo, lo + len(b)), out=b)
             np.add(b, M, out=b, where=b < 0)
             b[fx == 0] = M
         occupied, reps = np.unique(bins, return_counts=True)
-        return bins, occupied, reps * (ctx.q - 1)
+        return occupied, reps * (ctx.q - 1)
 
     def line_values(self) -> np.ndarray:
         """Sorted distinct values of f(x)/x over nonzero x."""
-        ctx = self.ctx
-        occupied = self._fibers()[1]
-        if occupied[-1] == ctx.mult_order:
-            return np.sort(np.append(ctx._exp[occupied[:-1]], 0))
-        return np.sort(ctx._exp[occupied])
+        M = self.ctx.mult_order
+        occupied = self._fibers()[0]
+        # bin q^n - 1, the kernel's, holds the value 0
+        return np.sort(np.where(occupied < M, self.ctx._exp[occupied % M], 0))
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -256,7 +223,7 @@ class LinPoly:
     def fiber_histogram(self) -> Counter:
         """Multiset of fiber sizes of x -> f(x)/x on nonzero x, as a Counter
         mapping fiber size to the number of fibers of that size."""
-        sizes, mult = np.unique(self._fibers()[2], return_counts=True)
+        sizes, mult = np.unique(self._fibers()[1], return_counts=True)
         return Counter({int(s): int(m) for s, m in zip(sizes, mult)})
 
     # -- serialization ------------------------------------------------------

@@ -95,14 +95,18 @@ class ScatterVerdict:
         }
 
 
-def _witness_in_fiber(ctx, fiber: np.ndarray) -> Tuple[int, int]:
-    """Pick (y, z) from a fiber with more than q - 1 elements such that
-    z / y is outside GF(q)."""
-    y = int(fiber[0])
-    ratios = ctx.vmul(fiber, np.full_like(fiber, ctx.inv(y)))
-    outside = ctx.vfrob(ratios, 1) != ratios
-    z = int(fiber[np.flatnonzero(outside)[0]])
-    return y, z
+def _witness_in_fiber(ctx, A: np.ndarray) -> Tuple[int, int]:
+    """(y, z) from the fiber ker(A) minus 0, A being the GF(p)-matrix of
+    f - v*id for a value v whose fiber has more than q - 1 elements: y is
+    its smallest element and z the smallest with z / y outside GF(q).
+    GF(q)*y holds q - 1 elements, so z is among the first q, which the
+    span of the first e + 1 rows of the kernel's basis lists ascending
+    (see linalg.modp_nullspace): the kernel itself, which may be the
+    whole field, is never listed."""
+    basis = linalg.modp_nullspace(A, ctx.p)
+    y, *rest = linalg.span_indices(basis[:ctx.e + 1].T, ctx.p)[1:].tolist()
+    inv_y = ctx.inv(y)
+    return y, next(z for z in rest if not ctx.in_subfield(ctx.mul(z, inv_y)))
 
 
 def check_witness(f: LinPoly, witness: Tuple[int, int]) -> bool:
@@ -124,25 +128,20 @@ def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
     witness associated with the smallest oversized value.
 
     The pass evaluates f at the GF(q)*-orbit representatives omega^j,
-    j < R = (q^n - 1)/(q - 1), only (see LinPoly._fibers). The chosen
-    fiber is rebuilt from its representatives as omega^(j + R*k),
-    k < q - 1, and sorted, which gives the same index-ordered fiber, and
-    so the same witness, as a pass over every nonzero x."""
+    j < R = (q^n - 1)/(q - 1), only (see LinPoly._fibers). The fiber of
+    the chosen value v is ker(A_f - M_v) minus 0, from which
+    _witness_in_fiber reads the same witness as a pass over every nonzero
+    x would."""
     ctx = f.ctx
-    bins, occupied, sizes = f._fibers()
+    occupied, sizes = f._fibers()
     n_values = len(occupied)
     if n_values == (ctx.order - 1) // (ctx.q - 1):
         return ScatterVerdict(True, "fibers", None, n_values, None)
     # bins run in log order, values in index order: 0, whose bin is the
     # last, comes first; else take the oversized value of smallest index
     big = occupied[sizes > ctx.q - 1]
-    if big[-1] == ctx.mult_order:
-        b = big[-1]
-    else:
-        b = big[np.argmin(ctx._exp[big])]
-    R = len(bins)
-    js = np.flatnonzero(bins == b) + R * np.arange(ctx.q - 1)[:, None]
-    witness = _witness_in_fiber(ctx, np.sort(ctx._exp[js.ravel()]))
+    v = 0 if big[-1] == ctx.mult_order else int(ctx._exp[big].min())
+    witness = _witness_in_fiber(ctx, f.matrix() - ctx._mult_matrix(v))
     return ScatterVerdict(False, "fibers", witness, n_values, None)
 
 
@@ -167,20 +166,14 @@ def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
     is paid only on scattered inputs."""
     ctx = f.ctx
     ctx._need_whole_field()
-    m = None
     for lo, hi in linalg.sweep_slices(ctx.order):
-        ms = np.arange(lo, hi, dtype=np.int64)
-        ranks = shift_ranks(f, ms)
-        bad = np.flatnonzero(ranks < ctx.n - 1)
+        bad = np.flatnonzero(shift_ranks(f, np.arange(lo, hi, dtype=np.int64)) < ctx.n - 1)
         if len(bad):
-            m = int(ms[bad[0]])
-            break
-    if m is None:
-        return ScatterVerdict(True, "ranks", None, None, None)
-    g = f + LinPoly.monomial(ctx, m, 0)
-    fiber = np.flatnonzero(g.eval_all()[1:] == 0) + 1
-    witness = _witness_in_fiber(ctx, fiber)
-    return ScatterVerdict(False, "ranks", witness, None, m)
+            # the fiber of -m is ker(A_f + M_m) minus 0
+            m = lo + int(bad[0])
+            witness = _witness_in_fiber(ctx, f.matrix() + ctx._mult_matrix(m))
+            return ScatterVerdict(False, "ranks", witness, None, m)
+    return ScatterVerdict(True, "ranks", None, None, None)
 
 
 def _commutator_tensor(f: LinPoly) -> np.ndarray:
@@ -197,7 +190,9 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     """Search for (rho, x), rho outside GF(q), x nonzero, f(rho*x) = rho*f(x);
     such a pair exists iff f is not scattered. rho = omega^j is the hit of
     smallest j, and x the smallest nonzero index in the kernel of
-    C_rho(x) = f(rho*x) - rho*f(x). Returns None when f is scattered.
+    C_rho(x) = f(rho*x) - rho*f(x): the first row of the nullspace basis
+    of C_rho's matrix (see linalg.modp_nullspace), with no pass over the
+    kernel. Returns None when f is scattered.
 
     f is GF(q)-linear, so C_(lam*rho) = lam*C_rho for lam in GF(q)*, which
     is generated by omega^R, R = (q^n - 1)/(q - 1): rho and lam*rho have
@@ -208,18 +203,15 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     against one commutator tensor."""
     ctx = f.ctx
     ctx._need_tables()
-    n = ctx.n
     R = ctx.mult_order // (ctx.q - 1)
     T = _commutator_tensor(f)
     for lo, hi in linalg.sweep_slices(R - 1):
         rhos = ctx._exp[lo + 1:hi + 1]
-        hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < n)
+        hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < ctx.n)
         if len(hit):
             rho = int(rhos[hit[0]])
-            g = LinPoly(ctx, [ctx.mul(f.coeffs[i], ctx.sub(ctx.frob(rho, i), rho))
-                              for i in range(n)])
-            x = int(np.flatnonzero(g.eval_all()[1:] == 0)[0]) + 1
-            return rho, x
+            C = linalg.digit_contract(ctx, T, rho)
+            return rho, ctx.from_digits(linalg.modp_nullspace(C, ctx.p)[0])
     return None
 
 

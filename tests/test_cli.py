@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from scatpoly import cli
+from scatpoly import cli, fields, linsets
+from scatpoly.scattered import build_psi
 
 
 def _run(capsys, argv):
@@ -102,6 +103,24 @@ def test_equiv_lp_type_exact_at_n8(capsys):
     obj = _run_json(capsys, ["equiv", "--p", "3", "--t", "4",
                              "--left", "psi:1", "--right", "lp-type"])
     assert obj["family_member"] is False
+
+
+def test_equiv_certificate_matches_library_on_tabled_field(capsys):
+    obj = _run_json(capsys, ["equiv", "--p", "3", "--t", "4", "--left", "psi:1",
+                             "--right", "psi:3"])
+    ctx = fields.build_field(3, 1, 4)
+    assert ctx.has_tables
+    cert = linsets.subspace_equivalent(build_psi(ctx, 1), build_psi(ctx, 3))
+    assert obj["certificate"] == cert.to_json() and obj["verified"] is True
+
+
+def test_equiv_builds_no_tables(capsys):
+    # psi_7 is psi_1's inverse; tables at (3, 8) would take 1.4 GB
+    obj = _run_json(capsys, ["equiv", "--p", "3", "--t", "8", "--left", "psi:1",
+                             "--right", "psi:7"])
+    assert obj["verified"] is True
+    built = [c for key, c in fields._CTX_CACHE.items() if key[:3] == (3, 1, 8)]
+    assert built and not any(c.has_tables for c in built)
 
 
 def test_equiv_budget_option_rejected(capsys):

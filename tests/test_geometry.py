@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scatpoly.errors import BadK, CtxMismatch, NotDisjointFromSigma
+from scatpoly.fields import build_field
 from scatpoly.geometry import (
     ProjSubspace,
     apply_sigma,
@@ -128,6 +129,29 @@ def test_meets_sigma_orbit(ctx34):
     u = meets_sigma_orbit(bad)
     assert u is not None
     assert bad.contains_point(sigma_point(ctx, u))
+
+
+@pytest.mark.parametrize("fixture", ["ctx33", "ctx34"])
+def test_meets_sigma_orbit_finds_the_smallest_u(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(12)
+    u0, u1 = (int(u) for u in rng.integers(2, ctx.order, size=2))
+    # P_(a*u0 + b*u1) = a*P_u0 + b*P_u1 for a, b in GF(q), so the line
+    # through P_u0 and P_u1 meets the orbit in a GF(q)-plane of u
+    line = ProjSubspace.from_basis(ctx, [sigma_point(ctx, u0), sigma_point(ctx, u1)])
+    for S in (line, join_point(gamma_k(ctx, 1), sigma_point(ctx, u0)),
+              ProjSubspace(ctx, [])):
+        want = next((u for u in range(1, ctx.order)
+                     if S.contains_point(sigma_point(ctx, u))), None)
+        assert meets_sigma_orbit(S) == want
+
+
+def test_meets_sigma_orbit_above_the_table_limit():
+    # 191^6 elements: the kernel of the stacked equations needs no tables.
+    # P_u has x_0 = u != 0, so the equation x_0 = 0 of gamma_k excludes it
+    ctx = build_field(191, 1, 3)
+    assert not ctx.has_tables
+    assert meets_sigma_orbit(gamma_k(ctx, 1)) is None
 
 
 def test_intn_values(ctx34):

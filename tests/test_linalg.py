@@ -14,6 +14,7 @@ from scatpoly.linalg import (
     field_rref,
     modp_nullspace,
     modp_rref,
+    span_indices,
     sweep_slices,
 )
 from scatpoly.linpoly import LinPoly
@@ -190,3 +191,69 @@ def test_modp_rref_and_nullspace():
     # full-rank system has an empty kernel
     eye = np.eye(3, dtype=np.int64)
     assert modp_nullspace(eye, 3).shape[0] == 0
+
+
+# -- kernels of GF(p)-matrices on field elements ---------------------------------
+
+
+def _scan_kernel(fs):
+    """Every x with f(x) = 0 for each f in fs, ascending: scalar arithmetic
+    at every x of fields of at most 5^6 elements, the log tables beyond (a
+    scalar evaluation costs about 30 us, 17 s over the 531441 elements of
+    q = 9)."""
+    ctx = fs[0].ctx
+    if ctx.order <= 5 ** 6:
+        return [x for x in range(ctx.order) if all(f(x) == 0 for f in fs)]
+    xs = np.arange(ctx.order, dtype=np.int64)
+    zero = np.ones(ctx.order, dtype=bool)
+    for f in fs:
+        fx = np.zeros_like(xs)
+        for i, c in enumerate(f.coeffs):
+            fx = ctx.vadd(fx, ctx.vscale(c, ctx.vfrob(xs, i)))
+        zero &= fx == 0
+    return np.flatnonzero(zero).tolist()
+
+
+def _check_kernel(fs):
+    """The nullspace basis of the stacked matrices of fs lists the common
+    kernel ascending, its first row is the smallest nonzero element, and a
+    context without tables gives the same."""
+    ctx = fs[0].ctx
+    want = _scan_kernel(fs)
+    bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
+    for c in (ctx, bare):
+        A = np.concatenate([LinPoly(c, f.coeffs).matrix() for f in fs])
+        basis = modp_nullspace(A, c.p)
+        assert span_indices(basis.T, c.p).tolist() == want
+        assert (c.from_digits(basis[0]) if len(basis) else None) == (
+            want[1] if len(want) > 1 else None)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+def test_kernel_empty_and_whole_field(pet):
+    ctx = build_field(*pet)
+    _check_kernel([LinPoly.identity(ctx)])
+    _check_kernel([LinPoly.zero(ctx)])
+    _check_kernel([LinPoly.zero(ctx), LinPoly.identity(ctx)])
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_kernel_matches_scan(pet, data):
+    ctx = build_field(*pet)
+    x0 = data.draw(st.integers(1, ctx.order - 1))
+
+    def draw_map():
+        f = LinPoly(ctx, data.draw(st.lists(_elements(ctx), min_size=ctx.n, max_size=ctx.n)))
+        kind = data.draw(st.sampled_from(["random", "planted", "subfield"]))
+        if kind == "planted":
+            # f - (f(x0)/x0)*id has x0 in its kernel
+            return f + LinPoly.monomial(ctx, ctx.neg(ctx.div(f(x0), x0)), 0)
+        if kind == "subfield":
+            # c*(x^(q^t) - x) has kernel GF(q^t)
+            c = data.draw(st.integers(1, ctx.order - 1))
+            return (LinPoly.monomial(ctx, 1, ctx.t) - LinPoly.identity(ctx)).scale(c)
+        return f
+
+    _check_kernel([draw_map() for _ in range(data.draw(st.integers(1, 2)))])

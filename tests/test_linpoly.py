@@ -142,6 +142,14 @@ def test_eval_vec_matches_scalar(ctx34):
         assert vals[i] == f(int(xs[i]))
 
 
+def test_eval_vec_above_the_table_limit():
+    # 191^6 elements, no tables: the digit-plane contraction still runs
+    ctx = build_field(191, 1, 3)
+    f = build_psi(ctx, 1)
+    xs = [0, 1, 2, 191, ctx.omega, ctx.order - 1]
+    assert f.eval_vec(np.array(xs, dtype=np.int64)).tolist() == [f(x) for x in xs]
+
+
 @pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
 @settings(max_examples=15)
 @given(data=st.data())
@@ -166,7 +174,7 @@ def test_eval_all_matches_pointwise(pet, data):
     else:
         xs = data.draw(st.lists(elem, min_size=1, max_size=50)) + [ctx.p ** d for d in range(ctx.en)]
     assert [int(got[x]) for x in xs] == [f(x) for x in xs]
-    # every x through the table kernels, an evaluation path of its own
+    # every x through the digit-plane contraction, an evaluation path of its own
     assert np.array_equal(got, f.eval_vec(np.arange(ctx.order, dtype=np.int64)))
     if kind == "planted":
         assert got[x0] == 0

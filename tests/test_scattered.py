@@ -375,6 +375,25 @@ def test_commutator_tensor_is_matrix_of_commutator(pet, data):
         assert np.array_equal(mats[:, :, b], g.matrix())
 
 
+@pytest.mark.parametrize("fixture", ["ctx53", "ctx34"])
+def test_zero_map_verdicts_pinned(fixture, request):
+    # f = 0 has f(x)/x = 0 for every x: one value, whose fiber is the
+    # kernel, the whole field. Its elements ascending start 1, 2, ..., and
+    # with e = 1 GF(q) is the set of indices below p, so y = 1 and the first
+    # z with z/y outside GF(q) is p. The shift 0 is the first, and its
+    # kernel is the same. C_rho = 0 for every rho, so the first rho swept,
+    # omega^1, hits, and the smallest nonzero element of its kernel is 1.
+    ctx = request.getfixturevalue(fixture)
+    f = LinPoly.zero(ctx)
+    vf, vr = is_scattered_fibers(f), is_scattered_ranks(f)
+    assert vf.n_values == 1 and vr.bad_shift == 0
+    assert vf.witness == vr.witness == (1, ctx.p)
+    assert nonscattered_witness_search(f) == (ctx.omega, 1)
+    # the rank checker and its witness read no tables
+    bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
+    assert is_scattered_ranks(LinPoly.zero(bare)) == vr
+
+
 def test_whole_field_passes_refuse_fields_above_the_table_limit():
     # 191^6 elements: each pass raises before it allocates, and a sweep
     # given its shifts still runs (psi_1 is invertible, with inverse psi_5)
