@@ -3,8 +3,10 @@ exact checks with pinned time bounds.
 
 Every criterion builds (and thereby caches) its field contexts before the
 clock starts, so the timing checks measure the mathematical work, not table
-construction. Failures are results: the runner records which checks failed
-and keeps going.
+construction. The one exception is `grid`: GF(13^6) is above the eager
+bound, so its tables are built in the first fiber pass, inside the (13,3)
+timed block, which has no bound. Failures are results: the runner records
+which checks failed and keeps going.
 """
 
 from __future__ import annotations

@@ -36,9 +36,8 @@ def _read_modulus(path):
     return coeffs
 
 
-def _build_ctx(args, use_tables=None):
-    return build_field(args.p, args.e, args.t, use_tables=use_tables,
-                       modulus=_read_modulus(args.modulus_file))
+def _build_ctx(args):
+    return build_field(args.p, args.e, args.t, modulus=_read_modulus(args.modulus_file))
 
 
 def _emit(text: str, out):
@@ -59,16 +58,13 @@ def _require_json(args):
                          " (code-report)")
 
 
-LP_TYPE = ("lp-type", "lp_type", "lptype")
-
-
 def parse_target(ctx, spec: str):
     """Target grammar: psi:K | u1:S | u2:S,DELTA | u3:S,DELTA | u4:DELTA
     | u5:H | pseudoregulus | lp-type."""
     s = spec.strip().lower()
     if s == "pseudoregulus":
         return "pseudoregulus", None
-    if s in LP_TYPE:
+    if s in ("lp-type", "lp_type", "lptype"):
         return "lp-type", None
     name, _, rest = s.partition(":")
     parts = [tok for tok in rest.split(",") if tok] if rest else []
@@ -131,9 +127,7 @@ def cmd_code_report(args) -> int:
 
 def cmd_equiv(args) -> int:
     _require_json(args)
-    # only the lp-type test reads the tables (linsets.valid_u2_deltas)
-    lp_type = args.right.strip().lower() in LP_TYPE
-    ctx = _build_ctx(args, use_tables=None if lp_type else False)
+    ctx = _build_ctx(args)
     kind_l, f = parse_target(ctx, args.left)
     if kind_l != "poly":
         raise ValueError("--left must name a polynomial target")

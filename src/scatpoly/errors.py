@@ -47,6 +47,5 @@ class NotDisjointFromSigma(ScatpolyError):
 
 
 class FieldTooLarge(ScatpolyError):
-    """The field is above TABLE_LIMIT elements (or was built without
-    tables) for an operation that needs the tables or an array over every
-    element."""
+    """The field is above TABLE_LIMIT elements for an operation that needs
+    the tables or an array over every element."""

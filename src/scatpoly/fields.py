@@ -6,7 +6,8 @@ sum(c_i * p^i). Index 0 is the zero element, indices below p are the
 prime-field scalars.
 
 Fields up to 2^26 elements get full discrete-log tables (exp, log, Zech,
-q-Frobenius) and vectorized numpy kernels; larger fields fall back to
+q-Frobenius) for the vectorized numpy kernels, built on first use (up to
+2^20 elements, at construction); scalar operations without them use
 polynomial-basis arithmetic with precomputed Frobenius matrices.
 
 The tables are four int64 arrays, 32 bytes per element. Building them
@@ -28,6 +29,7 @@ from .errors import (BadParams, EvenP, FieldTooLarge, NonPrimeP,
                      ReducibleModulus, TSmall)
 
 TABLE_LIMIT = 1 << 26
+EAGER_LIMIT = 1 << 20  # built at construction up to here: about 0.1 s, and fast scalars
 _SLICE = 1 << 16  # columns per step of the table build
 
 _CTX_CACHE: dict = {}
@@ -178,11 +180,11 @@ class FieldCtx:
 
     Do not construct directly; use build_field so validation and caching
     apply. Scalar operations take and return plain ints. Vector operations
-    (v-prefixed) take numpy int64 arrays of element indices and require
-    table mode.
+    (v-prefixed) take numpy int64 arrays of element indices and build the
+    tables on first use; has_tables tells whether they are built.
     """
 
-    def __init__(self, spec: FieldSpec, use_tables: Optional[bool] = None):
+    def __init__(self, spec: FieldSpec):
         p, e, t = spec.p, spec.e, spec.t
         self.p, self.e, self.t = p, e, t
         self.q = p**e
@@ -195,7 +197,7 @@ class FieldCtx:
         else:
             self.modulus = smallest_irreducible(p, self.en)
         self.spec = FieldSpec(p, e, t, self.modulus)
-        self.has_tables = (self.order <= TABLE_LIMIT) if use_tables is None else use_tables
+        self.has_tables = False
 
         self._ppow = [p**i for i in range(self.en + 1)]
         self._mod_list = list(self.modulus)
@@ -203,7 +205,7 @@ class FieldCtx:
         self._action = None
 
         self.omega = self._find_generator()
-        if self.has_tables:
+        if self.order <= EAGER_LIMIT:
             self._build_tables()
         self.two_inv = pow(2, -1, p)  # p odd, so 2 is invertible
 
@@ -300,6 +302,7 @@ class FieldCtx:
             frob[lo:lo + _SLICE] = exp[k]
         frob[0] = 0
         self._exp, self._log, self._zech, self._frob_q = exp, log, zech, frob
+        self.has_tables = True
 
     def _mult_matrix(self, a: int) -> np.ndarray:
         """Matrix of y -> a*y on GF(p) digit vectors."""
@@ -337,9 +340,7 @@ class FieldCtx:
 
     def gen_power(self, j: int) -> int:
         """omega^j, exponent taken mod q^n - 1."""
-        if self.has_tables:
-            return int(self._exp[j % self.mult_order])
-        return self._pow_nt(self.omega, j % self.mult_order)
+        return self.pow_(self.omega, j)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, t={self.t})"
@@ -513,10 +514,15 @@ class FieldCtx:
             j += stride
         return None
 
-    # -- vector kernels (table mode only) -----------------------------------
+    # -- vector kernels ------------------------------------------------------
 
     def _need_tables(self):
         if not self.has_tables:
+            self._check_table_limit()
+            self._build_tables()
+
+    def _check_table_limit(self):
+        if self.order > TABLE_LIMIT:
             raise FieldTooLarge("vector kernels and orbit sweeps need the "
                                 f"tables, which fields of at most {TABLE_LIMIT} "
                                 f"elements get (field has {self.order})")
@@ -580,8 +586,7 @@ class FieldCtx:
         return np.where(a == 0, 0, self._exp[self._log[a] * m % self.mult_order])
 
 
-def build_field(p: int, e: int, t: int, modulus=None,
-                use_tables: Optional[bool] = None) -> FieldCtx:
+def build_field(p: int, e: int, t: int, modulus=None) -> FieldCtx:
     """Validate parameters and return a (cached) field context.
 
     Raises NonPrimeP, EvenP, TSmall or ReducibleModulus on bad input.
@@ -594,7 +599,7 @@ def build_field(p: int, e: int, t: int, modulus=None,
         raise BadParams(f"e = {e} must be a positive integer")
     if not isinstance(t, int) or t < 3:
         raise TSmall(f"t = {t} is below the minimum t >= 3")
-    key = (p, e, t, tuple(modulus) if modulus is not None else None, use_tables)
+    key = (p, e, t, tuple(modulus) if modulus is not None else None)
     if key in _CTX_CACHE:
         return _CTX_CACHE[key]
     if modulus is not None:
@@ -604,7 +609,6 @@ def build_field(p: int, e: int, t: int, modulus=None,
                 f"modulus must be monic of degree {e * 2 * t} over GF({p})")
         if not is_irreducible(mod, p):
             raise ReducibleModulus("supplied modulus is reducible over GF(p)")
-    ctx = FieldCtx(FieldSpec(p, e, t, tuple(modulus) if modulus else None),
-                   use_tables=use_tables)
+    ctx = FieldCtx(FieldSpec(p, e, t, tuple(modulus) if modulus else None))
     _CTX_CACHE[key] = ctx
     return ctx

@@ -2,8 +2,8 @@
 
 Batch routines take numpy int64 arrays of element indices, turn every
 matrix into its GF(p)-matrix and rank the whole batch with one lockstep
-elimination mod p; they read no field tables and run in either field mode.
-Scalar routines work on lists of ints and run in either mode. The modp_*
+elimination mod p; they read no field tables and never build them.
+Scalar routines work on lists of ints, with or without the tables. The modp_*
 routines are plain integer elimination mod a prime, used where systems
 live over GF(p) rather than the big field.
 """

@@ -319,6 +319,25 @@ def valid_u2_deltas(ctx) -> np.ndarray:
     return els[norms != 1]
 
 
+def u2_coset_deltas(ctx, s: int):
+    """The deltas find_u2_equivalence tests for s, by scalar powers: each
+    delta = 2, 3, ... of a new coset key delta^((q^n - 1)/m) whose norm
+    key^(m/(q - 1)) (constant on a coset, as (q - 1) | m) is not 1, until
+    all m - m/(q - 1) valid cosets are seen. FieldTooLarge above
+    TABLE_LIMIT, where they are too many."""
+    ctx._check_table_limit()
+    N, r = ctx.mult_order, ctx.q - 1
+    m = math.gcd((ctx.q ** s - ctx.q ** (ctx.n - s)) % N, N)
+    left, seen, delta = m - m // r, set(), 1
+    while left:
+        delta += 1
+        key = ctx.pow_(delta, N // m)
+        if key not in seen and ctx.pow_(key, m // r) != 1:
+            left -= 1
+            yield delta
+        seen.add(key)
+
+
 def find_u2_equivalence(f: LinPoly) -> Optional[Tuple[int, int, Certificate]]:
     """(s, delta, certificate) for the smallest s coprime to n and then the
     smallest valid delta with U_f equivalent to u2(s, delta), or None.
@@ -331,18 +350,13 @@ def find_u2_equivalence(f: LinPoly) -> Optional[Tuple[int, int, Certificate]]:
     one, in increasing order, so the answer is that of a sweep over every
     valid delta."""
     ctx = f.ctx
-    N = ctx.mult_order
-    valid = valid_u2_deltas(ctx)
     for s in range(1, ctx.n):
         if math.gcd(s, ctx.n) != 1:
             continue
-        m = math.gcd((ctx.q ** s - ctx.q ** (ctx.n - s)) % N, N)
-        _, first = np.unique(ctx.vpow_int(valid, N // m), return_index=True)
-        for delta in np.sort(valid[first]):
-            g = known_family(ctx, "u2", s=s, delta=int(delta))
-            cert = subspace_equivalent(f, g)
+        for delta in u2_coset_deltas(ctx, s):
+            cert = subspace_equivalent(f, known_family(ctx, "u2", s=s, delta=delta))
             if cert is not None:
-                return s, int(delta), cert
+                return s, delta, cert
     return None
 
 

@@ -1,12 +1,24 @@
 import pytest
 from hypothesis import settings
 
-from scatpoly.fields import build_field
+from scatpoly import fields
+from scatpoly.fields import FieldCtx, FieldSpec, build_field
 
 # fixed examples, so every run checks the same inputs; each property test
 # sets only its own max_examples
 settings.register_profile("scatpoly", derandomize=True, deadline=None)
 settings.load_profile("scatpoly")
+
+
+@pytest.fixture(scope="session")
+def bare_field():
+    """Factory of fresh contexts, outside the build_field cache, whose
+    tables are not built yet: the eager bound is 0 while each is made."""
+    def make(p, e, t):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "EAGER_LIMIT", 0)
+            return FieldCtx(FieldSpec(p, e, t))
+    return make
 
 
 @pytest.fixture(scope="session")

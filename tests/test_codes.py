@@ -175,9 +175,8 @@ def test_idealiser_skip_flags(ctx53):
 
 
 @pytest.mark.parametrize("pet", [(3, 1, 3), (3, 2, 3)])
-def test_idealisers_need_no_tables(pet):
-    ctx, bare = build_field(*pet), build_field(*pet, use_tables=False)
-    assert not bare.has_tables
+def test_idealisers_need_no_tables(pet, bare_field):
+    ctx, bare = build_field(*pet), bare_field(*pet)
     for k in range(1, ctx.n):
         for side in ("left", "right"):
             # at q = 9 the flags enumerate up to 3^12 elements on the left,
@@ -186,6 +185,7 @@ def test_idealisers_need_no_tables(pet):
             want = idealiser(build_code(build_psi(ctx, k)), side, flags)
             got = idealiser(build_code(build_psi(bare, k)), side, flags)
             assert got.to_json() == want.to_json()
+    assert not bare.has_tables
 
 
 def test_count_new_codes():

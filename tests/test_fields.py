@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import sympy
 
-from scatpoly.errors import BadParams, EvenP, NonPrimeP, ReducibleModulus, TSmall
+from scatpoly.codes import build_code, idealiser
+from scatpoly.errors import BadParams, EvenP, FieldTooLarge, NonPrimeP, ReducibleModulus, TSmall
 from scatpoly.fields import (FieldCtx, FieldSpec, _SLICE, build_field, is_irreducible,
                              smallest_irreducible)
+from scatpoly.linsets import subspace_equivalent
+from scatpoly.scattered import build_psi, is_scattered_fibers, is_scattered_ranks
 
 
 def test_parameter_validation():
@@ -108,10 +111,10 @@ def _first_generator(ctx):
 
 @pytest.mark.parametrize("key", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 1, 5), (3, 2, 3),
                                  (5, 1, 4), (13, 1, 3), (191, 1, 3)])
-def test_omega_is_first_generator(key):
+def test_omega_is_first_generator(key, bare_field):
     # every field the test suite and the benchmark build, tables or not:
     # the tables are indexed by log base omega, so omega fixes their bytes
-    ctx = build_field(*key, use_tables=False)
+    ctx = bare_field(*key)
     assert ctx.omega == _first_generator(ctx)
 
 
@@ -203,10 +206,8 @@ def test_inverse_without_tables(ctx33, ctx923):
     # every nonzero a at (3,3); at q = 9 one no-table inverse costs about
     # 55 us, so every 29th element stands in for the 531440 of them
     for ctx, step in ((ctx33, 1), (ctx923, 29)):
-        bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
-        assert not bare.has_tables
         for a in [*range(1, ctx.order, step), ctx.order - 1]:
-            assert bare.inv(a) == ctx.inv(a), a
+            assert ctx._inv_nt(a) == ctx.inv(a), a
 
 
 # -- the tables, each checked against arithmetic that reads no table ----------
@@ -250,10 +251,41 @@ def test_frob_table_is_frobenius_matrix(ctx33, ctx923):
         assert np.array_equal(ctx._frob_q[xs], np.array(ctx._ppow[:ctx.en]) @ images)
 
 
-def test_build_rejects_non_generator():
+def test_tables_built_on_first_use(ctx33, ctx923, bare_field):
+    # fields up to 2^20 elements build their tables at construction, larger
+    # ones not; passes that read no table leave them unbuilt, and the first
+    # orbit sweep builds the four arrays, the same as at construction
+    assert ctx923.order <= 1 << 20 and ctx923.has_tables
+    assert not FieldCtx(FieldSpec(13, 1, 3)).has_tables
+    bare = bare_field(3, 1, 3)
+    assert not bare.has_tables
+    f, g = build_psi(bare, 1), build_psi(ctx33, 1)
+    assert subspace_equivalent(f, build_psi(bare, 5)) is not None
+    assert is_scattered_ranks(f) == is_scattered_ranks(g)
+    assert idealiser(build_code(f), "left").to_json() == idealiser(build_code(g), "left").to_json()
+    assert not bare.has_tables
+    assert is_scattered_fibers(f) == is_scattered_fibers(g) and bare.has_tables
+    for name in ("_exp", "_log", "_zech", "_frob_q"):
+        assert np.array_equal(getattr(bare, name), getattr(ctx33, name)), name
+
+
+def test_tables_refused_above_the_limit():
+    # 191^6 elements: FieldTooLarge before any table is allocated
+    ctx = build_field(191, 1, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldTooLarge):
+            ctx._need_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and not ctx.has_tables and not hasattr(ctx, "_exp")
+
+
+def test_build_rejects_non_generator(bare_field):
     # omega^2 has order (q^n - 1)/2, so half the nonzero elements get no log
     for key in ((3, 1, 3), (5, 1, 3)):
-        ctx = FieldCtx(FieldSpec(*key), use_tables=False)
+        ctx = bare_field(*key)
         ctx.omega = ctx._mul_nt(ctx.omega, ctx.omega)
         with pytest.raises(RuntimeError):
             ctx._build_tables()

@@ -126,20 +126,21 @@ def test_batch_rank_matches_field_rank_non_square(data):
 
 @PROPERTY
 @given(data=st.data())
-def test_batch_dickson_rank_needs_no_tables(data):
+def test_batch_dickson_rank_needs_no_tables(bare_field, data):
     pet = data.draw(st.sampled_from([(3, 1, 3), (3, 2, 3)]))
-    ctx, bare = build_field(*pet), build_field(*pet, use_tables=False)
-    assert not bare.has_tables and bare.modulus == ctx.modulus
+    ctx, bare = build_field(*pet), bare_field(*pet)
+    assert bare.modulus == ctx.modulus
     f = build_psi(ctx, data.draw(st.integers(1, ctx.n - 1)))
     ms = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=40))
     cols = np.tile(np.array(f.coeffs, dtype=np.int64)[:, None], (1, len(ms)))
     cols[0] = [ctx.add(f.coeffs[0], m) for m in ms]
     assert np.array_equal(batch_dickson_rank(bare, cols), batch_dickson_rank(ctx, cols))
+    assert not bare.has_tables
 
 
 def test_batch_dickson_rank_int32_residues():
     # p^2 > 2^15, so the kernel stores int32; p^6 needs no tables
-    ctx = build_field(191, 1, 3, use_tables=False)
+    ctx = build_field(191, 1, 3)
     assert _residue_dtype(ctx.p) is np.int32 and _residue_dtype(181) is np.int16
     rng = np.random.default_rng(6)
     polys = []
@@ -214,13 +215,13 @@ def _scan_kernel(fs):
     return np.flatnonzero(zero).tolist()
 
 
-def _check_kernel(fs):
+def _check_kernel(fs, bare_field):
     """The nullspace basis of the stacked matrices of fs lists the common
     kernel ascending, its first row is the smallest nonzero element, and a
     context without tables gives the same."""
     ctx = fs[0].ctx
     want = _scan_kernel(fs)
-    bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
+    bare = bare_field(ctx.p, ctx.e, ctx.t)
     for c in (ctx, bare):
         A = np.concatenate([LinPoly(c, f.coeffs).matrix() for f in fs])
         basis = modp_nullspace(A, c.p)
@@ -230,17 +231,17 @@ def _check_kernel(fs):
 
 
 @pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
-def test_kernel_empty_and_whole_field(pet):
+def test_kernel_empty_and_whole_field(pet, bare_field):
     ctx = build_field(*pet)
-    _check_kernel([LinPoly.identity(ctx)])
-    _check_kernel([LinPoly.zero(ctx)])
-    _check_kernel([LinPoly.zero(ctx), LinPoly.identity(ctx)])
+    _check_kernel([LinPoly.identity(ctx)], bare_field)
+    _check_kernel([LinPoly.zero(ctx)], bare_field)
+    _check_kernel([LinPoly.zero(ctx), LinPoly.identity(ctx)], bare_field)
 
 
 @pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
 @settings(max_examples=6)
 @given(data=st.data())
-def test_kernel_matches_scan(pet, data):
+def test_kernel_matches_scan(pet, bare_field, data):
     ctx = build_field(*pet)
     x0 = data.draw(st.integers(1, ctx.order - 1))
 
@@ -256,4 +257,4 @@ def test_kernel_matches_scan(pet, data):
             return (LinPoly.monomial(ctx, 1, ctx.t) - LinPoly.identity(ctx)).scale(c)
         return f
 
-    _check_kernel([draw_map() for _ in range(data.draw(st.integers(1, 2)))])
+    _check_kernel([draw_map() for _ in range(data.draw(st.integers(1, 2)))], bare_field)

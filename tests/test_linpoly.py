@@ -113,7 +113,7 @@ def test_compose_and_adjoint_identities(pet, data):
 @pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
 @settings(max_examples=10)
 @given(data=st.data())
-def test_composition_matrices_match_compose(pet, data):
+def test_composition_matrices_match_compose(pet, bare_field, data):
     # poly_vec(f o h) = L_f poly_vec(h) and poly_vec(h o f) = R_f poly_vec(h)
     ctx = build_field(*pet)
     coeffs = st.lists(st.integers(0, ctx.order - 1), min_size=ctx.n, max_size=ctx.n)
@@ -128,9 +128,10 @@ def test_composition_matrices_match_compose(pet, data):
         assert vec_poly(ctx, L @ v % ctx.p) == f.compose(h)
         assert vec_poly(ctx, R @ v % ctx.p) == h.compose(f)
     # built without tables, the same matrices
-    bare = LinPoly(build_field(*pet, use_tables=False), f.coeffs)
+    bare = LinPoly(bare_field(*pet), f.coeffs)
     assert np.array_equal(bare.left_matrix(), L)
     assert np.array_equal(bare.right_matrix(), R)
+    assert not bare.ctx.has_tables
 
 
 def test_eval_vec_matches_scalar(ctx34):
@@ -153,7 +154,7 @@ def test_eval_vec_above_the_table_limit():
 @pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
 @settings(max_examples=15)
 @given(data=st.data())
-def test_eval_all_matches_pointwise(pet, data):
+def test_eval_all_matches_pointwise(pet, bare_field, data):
     ctx = build_field(*pet)
     elem = st.integers(0, ctx.order - 1)
     kind = data.draw(st.sampled_from(["random", "zero", "planted"]))
@@ -179,10 +180,11 @@ def test_eval_all_matches_pointwise(pet, data):
     if kind == "planted":
         assert got[x0] == 0
     # the evaluator needs no tables, and shift ranks build on its matrix
-    bare = LinPoly(build_field(*pet, use_tables=False), f.coeffs)
+    bare = LinPoly(bare_field(*pet), f.coeffs)
     assert np.array_equal(bare.eval_all(), got)
     ms = np.array(data.draw(st.lists(elem, min_size=1, max_size=20)), dtype=np.int64)
     assert np.array_equal(shift_ranks(bare, ms), shift_ranks(f, ms))
+    assert not bare.ctx.has_tables
 
 
 def test_rank_counts_roots(ctx33):

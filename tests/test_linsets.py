@@ -26,6 +26,7 @@ from scatpoly.linsets import (
     normalize_point,
     pseudoregulus_test,
     subspace_equivalent,
+    u2_coset_deltas,
     valid_u2_deltas,
 )
 from scatpoly.scattered import build_psi, is_scattered_fibers, is_scattered_ranks
@@ -459,11 +460,11 @@ def test_certificates_above_the_old_budget(ctx923):
 
 
 @pytest.mark.parametrize("pet", [(3, 1, 3), (3, 2, 3)])
-def test_equivalence_needs_no_tables(pet):
-    # the table-free twin of a field reads the same certificates, and
-    # its vector kernels stay unused
-    ctx, bare = build_field(*pet), build_field(*pet, use_tables=False)
-    assert not bare.has_tables and bare.modulus == ctx.modulus
+def test_equivalence_needs_no_tables(pet, bare_field):
+    # a twin of the field whose tables are not built reads the same
+    # certificates, and builds none
+    ctx, bare = build_field(*pet), bare_field(*pet)
+    assert bare.modulus == ctx.modulus
     rng = random.Random(10)
     pairs = [(build_psi(ctx, k).coeffs, build_psi(ctx, m).coeffs)
              for k in range(1, ctx.n) for m in (1, ctx.n - k)]
@@ -482,6 +483,7 @@ def test_equivalence_needs_no_tables(pet):
         assert got == want
         found += want is not None
     assert found >= ctx.n - 1
+    assert not bare.has_tables
 
 
 def test_equivalence_above_the_table_limit():
@@ -516,6 +518,30 @@ def test_u2_depends_only_on_the_coset_of_delta(data):
     assert lhs == known_family(ctx, "u2", s=s, delta=moved)
     m = math.gcd((q ** s - q ** (n - s)) % N, N)
     assert ctx.pow_(moved, N // m) == ctx.pow_(delta, N // m)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 2, 3)])
+def test_u2_coset_scan_matches_the_coset_keys_of_every_delta(pet):
+    # reference: the smallest valid delta of each coset, picked by the
+    # coset keys of every valid delta through the vector kernels
+    ctx = build_field(*pet)
+    N = ctx.mult_order
+    valid = valid_u2_deltas(ctx)
+    for s in _coprime_shifts(ctx):
+        m = math.gcd((ctx.q ** s - ctx.q ** (ctx.n - s)) % N, N)
+        _, first = np.unique(ctx.vpow_int(valid, N // m), return_index=True)
+        assert list(u2_coset_deltas(ctx, s)) == np.sort(valid[first]).tolist(), s
+
+
+def test_lp_type_needs_no_tables(ctx33, bare_field):
+    bare = bare_field(3, 1, 3)
+    delta = int(valid_u2_deltas(ctx33)[3])
+    g = known_family(ctx33, "u2", s=1, delta=delta).scale(2)
+    for f in (build_psi(ctx33, 1), g):
+        want = find_u2_equivalence(f)
+        assert find_u2_equivalence(LinPoly(bare, f.coeffs)) == want
+        assert lp_type_test(LinPoly(bare, f.coeffs)) == (want is not None)
+    assert not bare.has_tables
 
 
 def _u2_sweep_every_delta(f):

@@ -376,7 +376,7 @@ def test_commutator_tensor_is_matrix_of_commutator(pet, data):
 
 
 @pytest.mark.parametrize("fixture", ["ctx53", "ctx34"])
-def test_zero_map_verdicts_pinned(fixture, request):
+def test_zero_map_verdicts_pinned(fixture, request, bare_field):
     # f = 0 has f(x)/x = 0 for every x: one value, whose fiber is the
     # kernel, the whole field. Its elements ascending start 1, 2, ..., and
     # with e = 1 GF(q) is the set of indices below p, so y = 1 and the first
@@ -390,8 +390,9 @@ def test_zero_map_verdicts_pinned(fixture, request):
     assert vf.witness == vr.witness == (1, ctx.p)
     assert nonscattered_witness_search(f) == (ctx.omega, 1)
     # the rank checker and its witness read no tables
-    bare = build_field(ctx.p, ctx.e, ctx.t, use_tables=False)
+    bare = bare_field(ctx.p, ctx.e, ctx.t)
     assert is_scattered_ranks(LinPoly.zero(bare)) == vr
+    assert not bare.has_tables
 
 
 def test_whole_field_passes_refuse_fields_above_the_table_limit():
