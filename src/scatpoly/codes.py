@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BadHypotheses, CtxMismatch
 from .linpoly import LinPoly, poly_vec, vec_poly
-from .scattered import shift_ranks
+from .scattered import shift_orbits, shift_ranks
 from . import linalg, linsets
 
 
@@ -93,15 +93,17 @@ class RankDistribution:
 def rank_distribution(code: RankCode) -> RankDistribution:
     """Exact distribution from the projective representatives: each class
     (1, b) or (0, 1) contributes q^n - 1 scalings of one rank, plus the
-    zero word."""
+    zero word. The rank of f + b*id is constant on the sigma_d-orbits of
+    the shifts b (see scattered.shift_orbits), so one shift per orbit is
+    ranked and counted once per element of its orbit."""
     if code._dist is None:
         ctx = code.ctx
-        ranks = shift_ranks(code.f)
-        counts = [0] * (ctx.n + 1)
-        counts[0] = 1
+        tally = np.zeros(ctx.n + 1, dtype=np.int64)
+        for ms, sizes in shift_orbits(code.f):
+            np.add.at(tally, shift_ranks(code.f, ms), sizes)
         scalings = ctx.order - 1
-        for r, c in zip(*np.unique(ranks, return_counts=True)):
-            counts[int(r)] += scalings * int(c)
+        counts = [scalings * int(c) for c in tally]
+        counts[0] += 1
         counts[ctx.n] += scalings
         object.__setattr__(code, "_dist", RankDistribution(tuple(counts)))
     return code._dist

@@ -323,7 +323,8 @@ class FieldCtx:
         Built on first use and kept."""
         if self._action is None:
             p, en = self.p, self.en
-            self._action = np.stack([self._mult_matrix(self._ppow[d]) @ self._frob_matrix(i) % p
+            self._action = np.stack([self._mult_matrix(self._ppow[d])
+                                     @ self._frob_matrix(self.e * i) % p
                                      for i in range(self.n) for d in range(en)])
         return self._action
 
@@ -334,9 +335,6 @@ class FieldCtx:
 
     def from_digits(self, digs) -> int:
         return _undigits(list(digs) + [0] * (self.en - len(digs)), self.p)
-
-    def elements(self) -> np.ndarray:
-        return np.arange(self.order, dtype=np.int64)
 
     def gen_power(self, j: int) -> int:
         """omega^j, exponent taken mod q^n - 1."""
@@ -408,7 +406,7 @@ class FieldCtx:
         if self.has_tables:
             return int(self._exp[self._log[a] * pow(self.q, k, self.mult_order) % self.mult_order])
         digs = np.array(self.digits(a), dtype=np.int64)
-        digs = self._frob_matrix(k) @ digs % self.p
+        digs = self._frob_matrix(self.e * k) @ digs % self.p
         return self.from_digits(digs)
 
     def frob_p(self, a: int, j: int = 1) -> int:
@@ -450,15 +448,18 @@ class FieldCtx:
         c = pow(r1[0], p - 2, p)
         return self.from_digits([d * c % p for d in s1])
 
-    def _frob_matrix(self, k: int) -> np.ndarray:
-        if k not in self._frob_mats:
-            p, en = self.p, self.en
+    def _frob_matrix(self, j: int) -> np.ndarray:
+        """Matrix of x -> x^(p^j) on GF(p) digit vectors; the q^k
+        Frobenius is j = e*k."""
+        j %= self.en
+        if j not in self._frob_mats:
+            en = self.en
             cols = np.zeros((en, en), dtype=np.int64)
-            for j in range(en):
-                img = self._pow_nt(self._ppow[j], pow(self.q, k))
-                cols[:, j] = self.digits(img)
-            self._frob_mats[k] = cols
-        return self._frob_mats[k]
+            for i in range(en):
+                img = self._pow_nt(self._ppow[i], self._ppow[j])
+                cols[:, i] = self.digits(img)
+            self._frob_mats[j] = cols
+        return self._frob_mats[j]
 
     # -- tower structure ---------------------------------------------------
 

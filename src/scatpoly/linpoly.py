@@ -83,6 +83,14 @@ class LinPoly:
         """Apply the p-power automorphism x -> x^(p^j) to every coefficient."""
         return LinPoly(self.ctx, [self.ctx.frob_p(c, j) for c in self.coeffs])
 
+    def coeff_degree(self) -> int:
+        """The smallest d dividing e*n with every coefficient in GF(p^d),
+        that is with frob_twist(d) == self. x -> x^(p^d) then commutes
+        with f."""
+        en = self.ctx.en
+        return next(d for d in range(1, en + 1)
+                    if en % d == 0 and self.frob_twist(d) == self)
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -159,18 +159,72 @@ def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
     return np.concatenate(out)
 
 
-def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
-    """Sweep every shift m and test dim ker(f + m*id) <= 1 via Dickson
-    ranks. Independent of the fiber counter; same verdict contract.
-    Stops after the first slice with a violation, so the full sweep cost
-    is paid only on scattered inputs."""
+def _orbit_minima(xs: np.ndarray, state: np.ndarray, step, length: int):
+    """(reps, sizes): the entries x of xs with x <= step^i(x) for every
+    0 < i < length, each the smallest of its orbit when step^length is the
+    identity, and the sizes of their orbits, the first i > 0 with
+    step^i(x) = x. state holds xs in the coordinates step acts on, one
+    column per entry on its last axis; step(state) returns the state of
+    the images and their values. An entry leaves the batch at the first
+    image below it, so the later steps act on a shrinking remainder."""
+    sizes = np.full(len(xs), length, dtype=np.int64)
+    for i in range(1, length):
+        state, y = step(state)
+        keep = xs <= y
+        xs, y, sizes, state = xs[keep], y[keep], sizes[keep], state[..., keep]
+        sizes[(y == xs) & (sizes == length)] = i
+    return xs, sizes
+
+
+def shift_orbits(f: LinPoly):
+    """Yield (ms, sizes) for each ascending slice of the field
+    (linalg.sweep_slices): the shifts m of the slice that are the smallest
+    of their sigma_d-orbit, ascending, and the sizes of those orbits.
+
+    sigma_d is x -> x^(p^d), d = f.coeff_degree(), so it commutes with f:
+    sigma_d(f(x) + m*x) = f(sigma_d(x)) + sigma_d(m)*sigma_d(x), and
+    sigma_d maps ker(f + m*id) onto ker(f + sigma_d(m)*id). The rank of
+    f + m*id is therefore constant on each orbit. The images are taken in
+    digit space, by the GF(p) digit matrix of sigma_d on float32 digit
+    planes of the slice, with no table read. That is exact, as in the
+    table build: on a field of at most 2^26 elements every entry of a
+    product is an integer below e*n*(p-1)^2 < 2^24, so its floor division
+    by p is exact. e*n/d steps give the identity, and a map with d = e*n
+    keeps every shift."""
     ctx = f.ctx
     ctx._need_whole_field()
+    p, en = ctx.p, ctx.en
+    d = f.coeff_degree()
+    F = ctx._frob_matrix(d).astype(np.float32)
+    pows = np.array(ctx._ppow[:en], dtype=np.float64)
+
+    def step(planes):
+        planes = F @ planes
+        planes -= p * np.floor(planes / p)
+        return planes, (pows @ planes).astype(np.int64)
+
     for lo, hi in linalg.sweep_slices(ctx.order):
-        bad = np.flatnonzero(shift_ranks(f, np.arange(lo, hi, dtype=np.int64)) < ctx.n - 1)
+        ms = np.arange(lo, hi, dtype=np.int64)
+        planes = linalg._digit_planes(ms[None], p, en).astype(np.float32)
+        yield _orbit_minima(ms, planes, step, en // d)
+
+
+def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
+    """Test dim ker(f + m*id) <= 1 for every shift m via Dickson ranks.
+    Independent of the fiber counter; same verdict contract.
+
+    The rank is constant on the sigma_d-orbits of the shifts (see
+    shift_orbits), so only the smallest shift of each orbit is ranked.
+    The smallest bad shift is the smallest of its orbit, and the sweep
+    ascends, so bad_shift and the witness are those of a sweep over every
+    shift. Stops after the first slice with a violation, so the full sweep
+    cost is paid only on scattered inputs."""
+    ctx = f.ctx
+    for ms, _ in shift_orbits(f):
+        bad = np.flatnonzero(shift_ranks(f, ms) < ctx.n - 1)
         if len(bad):
             # the fiber of -m is ker(A_f + M_m) minus 0
-            m = lo + int(bad[0])
+            m = int(ms[bad[0]])
             witness = _witness_in_fiber(ctx, f.matrix() + ctx._mult_matrix(m))
             return ScatterVerdict(False, "ranks", witness, None, m)
     return ScatterVerdict(True, "ranks", None, None, None)
@@ -200,13 +254,30 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     is nonzero since omega^j lies outside GF(q). The first hit over every
     rho outside GF(q) therefore has j < R, and the sweep runs over
     j in [1, R) only, ranking each C_rho from the digit planes of rho
-    against one commutator tensor."""
+    against one commutator tensor.
+
+    sigma_d: x -> x^(p^d), d = f.coeff_degree(), commutes with f, so
+    C_(sigma_d(rho))(sigma_d(x)) = sigma_d(C_rho(x)): rho and sigma_d(rho)
+    = omega^(j*p^d) hit together. So j is swept only when
+    j <= j*p^(d*i) mod R for every i < e*n/d. That is exact on [1, R):
+    R = 1 mod p, so multiplication by p^d permutes the nonzero residues
+    mod R, and p^(e*n) = 1 mod R. The smallest hit is the smallest of its
+    orbit, so the sweep returns the same pair as one over every j."""
     ctx = f.ctx
     ctx._need_tables()
     R = ctx.mult_order // (ctx.q - 1)
+    d = f.coeff_degree()
+    g = pow(ctx.p, d, R)
+
+    def step(j):
+        j = j * g % R
+        return j, j
+
     T = _commutator_tensor(f)
     for lo, hi in linalg.sweep_slices(R - 1):
-        rhos = ctx._exp[lo + 1:hi + 1]
+        js = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        js, _ = _orbit_minima(js, js, step, ctx.en // d)
+        rhos = ctx._exp[js]
         hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < ctx.n)
         if len(hit):
             rho = int(rhos[hit[0]])

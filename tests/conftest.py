@@ -1,8 +1,11 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
 from scatpoly import fields
 from scatpoly.fields import FieldCtx, FieldSpec, build_field
+from scatpoly.scattered import shift_ranks
 
 # fixed examples, so every run checks the same inputs; each property test
 # sets only its own max_examples
@@ -40,3 +43,10 @@ def ctx34():
 def ctx923():
     # q = 9 = 3^2 exercises the e > 1 paths
     return build_field(3, 2, 3)
+
+
+@pytest.fixture(scope="session")
+def full_shift_ranks():
+    """shift_ranks(f) over every shift, the sweep with no orbit reduction,
+    made once per map in a session: at q = 9 each takes several seconds."""
+    return functools.cache(shift_ranks)

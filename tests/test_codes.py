@@ -78,6 +78,35 @@ def test_rank_distribution_sums_to_code_size(pet, data):
     assert sum(dist.counts[:ctx.n]) - 1 == (ctx.order - 1) * len(f.line_values())
 
 
+def _full_tally(ctx, ranks):
+    """The distribution read off the rank of every shift, with no orbit
+    reduction: q^n - 1 scalings of each class (1, b), the class (0, 1) at
+    full rank, and the zero word."""
+    counts = [0] * (ctx.n + 1)
+    counts[0] = 1
+    for r, c in zip(*np.unique(ranks, return_counts=True)):
+        counts[int(r)] += (ctx.order - 1) * int(c)
+    counts[ctx.n] += ctx.order - 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("fixture,ds", [("ctx33", (1, 2, 3, 6)), ("ctx53", (1, 2, 3, 6)),
+                                        ("ctx923", (2,))])
+def test_rank_distribution_matches_the_full_shift_tally(fixture, ds, request, full_shift_ranks):
+    # every psi_k, and maps with coefficients in GF(p^d): omega^(j*s) with
+    # s = (p^(e*n) - 1)/(p^d - 1) lies in GF(p^d)
+    ctx = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(ctx.order)
+    maps = [build_psi(ctx, k) for k in range(1, ctx.n)]
+    for d in ds:
+        s = ctx.mult_order // (ctx.p ** d - 1)
+        js = rng.integers(0, ctx.p ** d - 1, size=ctx.n)
+        maps.append(LinPoly(ctx, [ctx.gen_power(int(j) * s) for j in js]))
+        assert d % maps[-1].coeff_degree() == 0
+    for f in maps:
+        assert rank_distribution(build_code(f)).counts == _full_tally(ctx, full_shift_ranks(f))
+
+
 def test_min_distance_known_values(ctx33, ctx53):
     # single Frobenius maps give classical codes of distance n - 1
     mono = build_code(LinPoly.monomial(ctx33, 1, 1))

@@ -247,7 +247,7 @@ def test_frob_table_is_frobenius_matrix(ctx33, ctx923):
     for ctx, step in ((ctx33, 1), (ctx923, 7)):
         xs = np.arange(0, ctx.order, step, dtype=np.int64)
         digs = xs // np.array(ctx._ppow[:ctx.en], dtype=np.int64)[:, None] % ctx.p
-        images = ctx._frob_matrix(1) @ digs % ctx.p
+        images = ctx._frob_matrix(ctx.e) @ digs % ctx.p
         assert np.array_equal(ctx._frob_q[xs], np.array(ctx._ppow[:ctx.en]) @ images)
 
 

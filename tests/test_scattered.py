@@ -11,6 +11,7 @@ from scatpoly.fields import build_field
 from scatpoly.linalg import batch_dickson_rank, digit_contract
 from scatpoly.linpoly import LinPoly
 from scatpoly.scattered import (
+    ScatterVerdict,
     _commutator_tensor,
     _halves,
     alpha_poly,
@@ -21,6 +22,7 @@ from scatpoly.scattered import (
     is_scattered_fibers,
     is_scattered_ranks,
     nonscattered_witness_search,
+    shift_orbits,
     shift_ranks,
     theorem_predicate,
 )
@@ -169,19 +171,31 @@ def test_predicate_gcd_consistency(ctx34):
 # -- cross-method invariants -------------------------------------------------
 
 def _draw_poly(data, ctx):
-    """psi_k, the zero map, a random map or a planted-kernel map f + m*id
-    with m = -f(x0)/x0."""
-    kind = data.draw(st.sampled_from(["psi", "zero", "random", "planted"]))
+    """psi_k, the zero map, a random map, a planted-kernel map f + m*id
+    with m = -f(x0)/x0, or a map with coefficients in GF(p^d) for a drawn
+    divisor d of e*n."""
+    kind = data.draw(st.sampled_from(["psi", "zero", "random", "planted", "subfield"]))
     if kind == "psi":
         return build_psi(ctx, data.draw(st.integers(1, ctx.n - 1)))
     if kind == "zero":
         return LinPoly.zero(ctx)
+    if kind == "subfield":
+        d = data.draw(st.sampled_from([d for d in range(1, ctx.en + 1) if ctx.en % d == 0]))
+        return _subfield_poly(ctx, d, data.draw(st.lists(
+            st.integers(-1, ctx.p ** d - 2), min_size=ctx.n, max_size=ctx.n)))
     elem = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
     f = LinPoly(ctx, data.draw(st.lists(elem, min_size=ctx.n, max_size=ctx.n)))
     if kind == "planted":
         x0 = data.draw(st.integers(1, ctx.order - 1))
         f = f + LinPoly.monomial(ctx, ctx.neg(ctx.div(f(x0), x0)), 0)
     return f
+
+
+def _subfield_poly(ctx, d, js):
+    """The map whose coefficient i is omega^(js[i] * (p^(e*n) - 1)/(p^d - 1)),
+    an element of GF(p^d)*, or 0 where js[i] = -1."""
+    step = ctx.mult_order // (ctx.p ** d - 1)
+    return LinPoly(ctx, [ctx.gen_power(j * step) if j >= 0 else 0 for j in js])
 
 
 def _check_deficient_shifts(ctx, f):
@@ -219,7 +233,9 @@ def test_fibers_ranks_and_witness_search_agree(pet, data):
     hist = f.fiber_histogram()
     assert sum(size * mult for size, mult in hist.items()) == ctx.order - 1
     vf = is_scattered_fibers(f)
-    # at q = 9 the two full sweeps of a scattered map take 10-15 s
+    # at q = 9 the two sweeps of a scattered map take about 0.4 s; the
+    # scattered psi_1 and psi_5 there are pinned in
+    # test_theorem_scattered_maps_at_q9_pass_all_three_checkers
     assume(ctx.order < 10 ** 5 or not vf.scattered)
     vr = is_scattered_ranks(f)
     found = nonscattered_witness_search(f)
@@ -406,3 +422,109 @@ def test_whole_field_passes_refuse_fields_above_the_table_limit():
         with pytest.raises(FieldTooLarge):
             call()
     assert shift_ranks(f, np.array([0], dtype=np.int64)).tolist() == [ctx.n]
+
+
+# -- sweeps over sigma_d-orbit representatives -----------------------------------
+
+def _frobenius_images(f):
+    """sigma_d^i(x) for every x, row i for 0 <= i < e*n/d, sigma_d being
+    x -> x^(p^d) with d = f.coeff_degree(), by the log tables."""
+    ctx = f.ctx
+    d = f.coeff_degree()
+    rows = [np.arange(ctx.order, dtype=np.int64)]
+    for _ in range(1, ctx.en // d):
+        rows.append(ctx.vpow_int(rows[-1], ctx.p ** d))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_coeff_degree_is_the_smallest_coefficient_field(pet, data):
+    ctx = build_field(*pet)
+    f = _draw_poly(data, ctx)
+    c = np.array(f.coeffs, dtype=np.int64)
+    fixed = [d for d in range(1, ctx.en + 1)
+             if ctx.en % d == 0 and np.array_equal(ctx.vpow_int(c, ctx.p ** d), c)]
+    assert f.coeff_degree() == fixed[0]
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_shift_orbits_are_the_frobenius_orbit_minima(pet, data):
+    # the sweep keeps x iff no image of x under sigma_d is smaller, with
+    # the size of its orbit; and the ranks are constant on the orbits
+    ctx = build_field(*pet)
+    f = _draw_poly(data, ctx)
+    imgs = _frobenius_images(f)
+    xs = imgs[0]
+    size = np.full(ctx.order, len(imgs))
+    for i in reversed(range(1, len(imgs))):
+        size[imgs[i] == xs] = i
+    reps = np.flatnonzero((imgs >= xs).all(axis=0))
+    ms, sizes = map(np.concatenate, zip(*shift_orbits(f)))
+    assert np.array_equal(ms, reps) and np.array_equal(sizes, size[reps])
+    assert sizes.sum() == ctx.order
+    if ctx.order < 10 ** 5:
+        ranks = shift_ranks(f)
+        assert (ranks[imgs] == ranks).all()
+
+
+# (d, exponents for _subfield_poly) of a map whose first hit in the
+# witness search, omega^21 at (3, 3) and omega^15 at (5, 3), is not the
+# smallest of its x -> x^p orbit: found by a scan over sparse maps
+_OFF_SIGMA1 = {"ctx33": (3, [-1, 8, -1, -1, 22, -1]),
+               "ctx53": (2, [-1, 9, -1, 23, -1, 21])}
+
+
+@pytest.mark.parametrize("fixture", ["ctx33", "ctx53"])
+def test_orbit_sweeps_on_subfield_maps(fixture, request):
+    # maps with one to three coefficients in GF(p^d), for each d strictly
+    # between 1 and e*n, where sigma_d is neither x -> x^p nor the identity:
+    # the rank checker against the full shift sweep, the witness search
+    # against every rho
+    ctx = request.getfixturevalue(fixture)
+    R = ctx.mult_order // (ctx.q - 1)
+    rng = np.random.default_rng(ctx.order + 1)
+    maps = [_subfield_poly(ctx, *_OFF_SIGMA1[fixture])]
+    for d in (2, 3):
+        for _ in range(8):
+            js = np.full(ctx.n, -1)
+            slots = rng.choice(ctx.n, size=int(rng.integers(1, 4)), replace=False)
+            js[slots] = rng.integers(0, ctx.p ** d - 1, size=len(slots))
+            maps.append(_subfield_poly(ctx, d, js))
+    for f in maps:
+        bad = np.flatnonzero(shift_ranks(f) < ctx.n - 1)
+        assert is_scattered_ranks(f).bad_shift == (int(bad[0]) if len(bad) else None)
+        assert nonscattered_witness_search(f) == _brute_witness(f)
+    # a sweep over x -> x^p orbits would skip the pinned map's first hit
+    j = int(ctx._log[_brute_witness(maps[0])[0]])
+    assert maps[0].coeff_degree() > 1
+    assert any(j * pow(ctx.p, i, R) % R < j for i in range(1, ctx.en))
+
+
+@pytest.mark.parametrize("fixture", ["ctx33", "ctx53", "ctx34", "ctx923"])
+def test_bad_shift_is_the_first_of_the_full_sweep(fixture, request, full_shift_ranks):
+    ctx = request.getfixturevalue(fixture)
+    for k in range(1, ctx.n):
+        f = build_psi(ctx, k)
+        full = full_shift_ranks(f)
+        assert (full[_frobenius_images(f)] == full).all()
+        bad = np.flatnonzero(full < ctx.n - 1)
+        vr = is_scattered_ranks(f)
+        assert vr.bad_shift == (int(bad[0]) if len(bad) else None)
+        assert vr.scattered == theorem_predicate(ctx, k)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_theorem_scattered_maps_at_q9_pass_all_three_checkers(ctx923, k):
+    # t = 3 is odd, gcd(k, 6) = 1 and q = 9 = 1 mod 4: the theorem proves
+    # psi_k scattered, so f(x)/x takes (q^n - 1)/(q - 1) values
+    ctx = ctx923
+    assert theorem_predicate(ctx, k)
+    f = build_psi(ctx, k)
+    vf = is_scattered_fibers(f)
+    assert vf.scattered and vf.n_values == (9 ** 6 - 1) // 8
+    assert is_scattered_ranks(f) == ScatterVerdict(True, "ranks")
+    assert nonscattered_witness_search(f) is None
