@@ -10,6 +10,10 @@ q-Frobenius) for the vectorized numpy kernels, built on first use (up to
 2^20 elements, at construction); scalar operations without them use
 polynomial-basis arithmetic with precomputed Frobenius matrices.
 
+Only FieldCtx reads the tables: the scalar fast paths, the eight v-kernels
+(vadd, vneg, vsub, vmul, vscale, vinv, vfrob, vpow_int), and vgen_power
+and vlog, through which every other module gets omega^j and discrete logs.
+
 The tables are four int64 arrays, 32 bytes per element. Building them
 peaks at max(32, e*n + 17) bytes per element plus a few MB of slice
 buffers; on one core of a 2-core x86 box GF(13^6) (4.8M elements) takes
@@ -19,6 +23,7 @@ at a peak RSS of 1.43 GB.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -400,20 +405,18 @@ class FieldCtx:
 
     def frob(self, a: int, k: int = 1) -> int:
         """k-fold q-power Frobenius x -> x^(q^k)."""
-        if a == 0:
-            return 0
-        k %= self.n
-        if self.has_tables:
-            return int(self._exp[self._log[a] * pow(self.q, k, self.mult_order) % self.mult_order])
-        digs = np.array(self.digits(a), dtype=np.int64)
-        digs = self._frob_matrix(self.e * k) @ digs % self.p
-        return self.from_digits(digs)
+        return self.frob_p(a, self.e * k)
 
     def frob_p(self, a: int, j: int = 1) -> int:
         """p-power Frobenius x -> x^(p^j), the automorphism generator."""
         if a == 0:
             return 0
-        return self.pow_(a, pow(self.p, j % self.en, self.mult_order))
+        j %= self.en
+        if self.has_tables:
+            M = self.mult_order
+            return int(self._exp[self._log[a] * pow(self.p, j, M) % M])
+        digs = self._frob_matrix(j) @ np.array(self.digits(a), dtype=np.int64) % self.p
+        return self.from_digits(digs)
 
     # -- no-table fallbacks ------------------------------------------------
 
@@ -519,21 +522,33 @@ class FieldCtx:
 
     def _need_tables(self):
         if not self.has_tables:
-            self._check_table_limit()
+            self._need_whole_field(tables=True)
             self._build_tables()
 
-    def _check_table_limit(self):
-        if self.order > TABLE_LIMIT:
-            raise FieldTooLarge("vector kernels and orbit sweeps need the "
-                                f"tables, which fields of at most {TABLE_LIMIT} "
-                                f"elements get (field has {self.order})")
-
-    def _need_whole_field(self):
+    def _need_whole_field(self, tables: bool = False):
         """Raise FieldTooLarge before an array over every element of a
-        field above TABLE_LIMIT is made."""
+        field above TABLE_LIMIT is made, the tables included; tables words
+        the error for the passes that sweep orbits or read the tables."""
         if self.order > TABLE_LIMIT:
+            if tables:
+                raise FieldTooLarge("vector kernels and orbit sweeps need the "
+                                    f"tables, which fields of at most {TABLE_LIMIT} "
+                                    f"elements get (field has {self.order})")
             raise FieldTooLarge(f"whole-field passes need at most {TABLE_LIMIT} "
                                 f"elements (field has {self.order})")
+
+    def vgen_power(self, js) -> np.ndarray:
+        """omega^j for an int64 array of exponents j (taken mod q^n - 1),
+        or for a slice of them, which returns a view of the table."""
+        self._need_tables()
+        if isinstance(js, slice):
+            return self._exp[js]
+        return self._exp[np.mod(js, self.mult_order)]
+
+    def vlog(self, a: np.ndarray) -> np.ndarray:
+        """Discrete logs to base omega of the elements a, -1 at 0."""
+        self._need_tables()
+        return self._log[a]
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._need_tables()
@@ -590,26 +605,37 @@ class FieldCtx:
 def build_field(p: int, e: int, t: int, modulus=None) -> FieldCtx:
     """Validate parameters and return a (cached) field context.
 
-    Raises NonPrimeP, EvenP, TSmall or ReducibleModulus on bad input.
+    p, e and t may be any integers, numpy ones included, but not bools;
+    modulus any sequence of integers. Raises BadParams, NonPrimeP, EvenP,
+    TSmall or ReducibleModulus on bad input.
     """
-    if not isinstance(p, int) or p < 2 or not sympy.isprime(p):
+    try:
+        if any(isinstance(v, bool) for v in (p, e, t)):
+            raise TypeError
+        p, e, t = operator.index(p), operator.index(e), operator.index(t)
+        if modulus is not None:
+            modulus = tuple(operator.index(c) for c in modulus)
+    except TypeError:
+        raise BadParams(f"p = {p!r}, e = {e!r}, t = {t!r} and the modulus "
+                        "coefficients must be integers") from None
+    if p < 2 or not sympy.isprime(p):
         raise NonPrimeP(f"p = {p} is not prime")
     if p == 2:
         raise EvenP("characteristic 2 is not supported; p must be odd")
-    if not isinstance(e, int) or e < 1:
+    if e < 1:
         raise BadParams(f"e = {e} must be a positive integer")
-    if not isinstance(t, int) or t < 3:
+    if t < 3:
         raise TSmall(f"t = {t} is below the minimum t >= 3")
-    key = (p, e, t, tuple(modulus) if modulus is not None else None)
+    key = (p, e, t, modulus)
     if key in _CTX_CACHE:
         return _CTX_CACHE[key]
     if modulus is not None:
-        mod = [int(c) % p for c in modulus]
+        mod = [c % p for c in modulus]
         if len(mod) != e * 2 * t + 1 or mod[-1] != 1:
             raise ReducibleModulus(
                 f"modulus must be monic of degree {e * 2 * t} over GF({p})")
         if not is_irreducible(mod, p):
             raise ReducibleModulus("supplied modulus is reducible over GF(p)")
-    ctx = FieldCtx(FieldSpec(p, e, t, tuple(modulus) if modulus else None))
+    ctx = FieldCtx(FieldSpec(p, e, t, modulus))
     _CTX_CACHE[key] = ctx
     return ctx

@@ -200,20 +200,21 @@ def projection_slopes(gamma: ProjSubspace, k: int, us: np.ndarray) -> np.ndarray
 
     With gamma's two equations e1, e2, the hyperplane through P_u has the
     pencil equation e2(P_u)*e1 - e1(P_u)*e2; restricted to the line it reads
-    c0*x_0 + c1*x_(n-k) = 0, giving the point (1, -c0/c1).
+    c0*x_0 + c1*x_(n-k) = 0, giving the point (1, -c0/c1). As functions of
+    u, -c0 and c1 are q-polynomials, E1 and E2 being the covectors e1, e2
+    read as q-polynomials, so each is one evaluation.
     """
     ctx = gamma.ctx
     if len(gamma.equations) != 2:
         raise ScatpolyError("projection needs a subspace of codimension 2")
     e1, e2 = gamma.equations
+    E1, E2 = LinPoly(ctx, e1), LinPoly(ctx, e2)
     nk = (ctx.n - int(k)) % ctx.n
-    lam = LinPoly(ctx, e2).eval_vec(us)
-    mu = ctx.vneg(LinPoly(ctx, e1).eval_vec(us))
-    c0 = ctx.vadd(ctx.vscale(e1[0], lam), ctx.vscale(e2[0], mu))
-    c1 = ctx.vadd(ctx.vscale(e1[nk], lam), ctx.vscale(e2[nk], mu))
-    if (c1 == 0).any():
+    num = (E1.scale(e2[0]) - E2.scale(e1[0])).eval_vec(us)
+    den = (E2.scale(e1[nk]) - E1.scale(e2[nk])).eval_vec(us)
+    if (den == 0).any():
         raise ScatpolyError("projection leaves the affine part of the line")
-    return ctx.vmul(ctx.vneg(c0), ctx.vinv(c1))
+    return ctx.vmul(num, ctx.vinv(den))
 
 
 def project_to_line(gamma: ProjSubspace, k: int) -> np.ndarray:

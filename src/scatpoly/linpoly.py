@@ -139,15 +139,15 @@ class LinPoly:
         times their numbers of representatives. The fiber of the value v is
         ker(A_f - M_v) minus 0."""
         ctx = self.ctx
-        ctx._need_tables()
+        ctx._need_whole_field(tables=True)
         M = ctx.mult_order
         R = M // (ctx.q - 1)
         A = self.matrix()
         bins = np.empty(R, dtype=np.int64)
         for lo in range(0, R, linalg.SLICE):
             b = bins[lo:lo + linalg.SLICE]
-            fx = linalg.apply_matrix(ctx, A, ctx._exp[lo:lo + len(b)])
-            np.subtract(ctx._log[fx], np.arange(lo, lo + len(b)), out=b)
+            fx = linalg.apply_matrix(ctx, A, ctx.vgen_power(slice(lo, lo + len(b))))
+            np.subtract(ctx.vlog(fx), np.arange(lo, lo + len(b)), out=b)
             np.add(b, M, out=b, where=b < 0)
             b[fx == 0] = M
         occupied, reps = np.unique(bins, return_counts=True)
@@ -158,7 +158,7 @@ class LinPoly:
         M = self.ctx.mult_order
         occupied = self._fibers()[0]
         # bin q^n - 1, the kernel's, holds the value 0
-        return np.sort(np.where(occupied < M, self.ctx._exp[occupied % M], 0))
+        return np.sort(np.where(occupied < M, self.ctx.vgen_power(occupied), 0))
 
     # -- algebra of maps ----------------------------------------------------
 

@@ -150,10 +150,9 @@ def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
     the digit contraction of x against one inclusion tensor."""
     f._check(g)
     ctx = f.ctx
-    ctx._need_tables()
     T = _inclusion_tensor(f, g)
     for lo, hi in linalg.sweep_slices(ctx.mult_order // (ctx.q - 1)):
-        if np.any(linalg.digit_dickson_ranks(ctx, T, ctx._exp[lo:hi]) == ctx.n):
+        if np.any(linalg.digit_dickson_ranks(ctx, T, ctx.vgen_power(slice(lo, hi))) == ctx.n):
             return False
     return True
 
@@ -312,11 +311,11 @@ def find_u1_equivalence(f: LinPoly) -> Optional[Tuple[int, Certificate]]:
 
 def valid_u2_deltas(ctx) -> np.ndarray:
     """Every delta admissible for u2, in index order: GF(q)-norm outside
-    {0, 1}."""
-    ctx._need_tables()
-    els = np.arange(1, ctx.order, dtype=np.int64)
-    norms = ctx.vpow_int(els, (ctx.order - 1) // (ctx.q - 1))
-    return els[norms != 1]
+    {0, 1}. The norm of omega^j is omega^(j*(q^n - 1)/(q - 1)), which is 1
+    iff q - 1 divides j."""
+    ctx._need_whole_field(tables=True)
+    js = np.arange(ctx.mult_order, dtype=np.int64)
+    return np.sort(ctx.vgen_power(js[js % (ctx.q - 1) != 0]))
 
 
 def u2_coset_deltas(ctx, s: int):
@@ -325,7 +324,7 @@ def u2_coset_deltas(ctx, s: int):
     key^(m/(q - 1)) (constant on a coset, as (q - 1) | m) is not 1, until
     all m - m/(q - 1) valid cosets are seen. FieldTooLarge above
     TABLE_LIMIT, where they are too many."""
-    ctx._check_table_limit()
+    ctx._need_whole_field(tables=True)
     N, r = ctx.mult_order, ctx.q - 1
     m = math.gcd((ctx.q ** s - ctx.q ** (ctx.n - s)) % N, N)
     left, seen, delta = m - m // r, set(), 1

@@ -140,7 +140,7 @@ def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
     # bins run in log order, values in index order: 0, whose bin is the
     # last, comes first; else take the oversized value of smallest index
     big = occupied[sizes > ctx.q - 1]
-    v = 0 if big[-1] == ctx.mult_order else int(ctx._exp[big].min())
+    v = 0 if big[-1] == ctx.mult_order else int(ctx.vgen_power(big).min())
     witness = _witness_in_fiber(ctx, f.matrix() - ctx._mult_matrix(v))
     return ScatterVerdict(False, "fibers", witness, n_values, None)
 
@@ -264,7 +264,6 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     mod R, and p^(e*n) = 1 mod R. The smallest hit is the smallest of its
     orbit, so the sweep returns the same pair as one over every j."""
     ctx = f.ctx
-    ctx._need_tables()
     R = ctx.mult_order // (ctx.q - 1)
     d = f.coeff_degree()
     g = pow(ctx.p, d, R)
@@ -277,7 +276,7 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
     for lo, hi in linalg.sweep_slices(R - 1):
         js = np.arange(lo + 1, hi + 1, dtype=np.int64)
         js, _ = _orbit_minima(js, js, step, ctx.en // d)
-        rhos = ctx._exp[js]
+        rhos = ctx.vgen_power(js)
         hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < ctx.n)
         if len(hit):
             rho = int(rhos[hit[0]])
@@ -321,34 +320,34 @@ class BaerReport:
         }
 
 
-def _halves(ctx):
-    """GF(q^t)* and W* in generator-power order, by exponent arithmetic:
-    with s = q^t + 1, GF(q^t)* is omega^j for j = 0 mod s and W* is omega^j
-    for j = s/2 mod s (see FieldCtx.w_unity_root)."""
-    s = ctx.q ** ctx.t + 1
-    js = np.arange(0, ctx.mult_order, s, dtype=np.int64)
-    return ctx._exp[js], ctx._exp[js + s // 2]
-
-
 def baer_partition_check(ctx, k: int) -> BaerReport:
     """Intersect the linear set of psi_k with the subline over GF(q^t) and
     verify it is the disjoint union of the two predicted power-coset parts,
     each of size (q^t - 1)/(q - 1). Requires psi_k scattered, which is
-    the fiber checker's test on the same values."""
+    the fiber checker's test on the same values.
+
+    Everything is read in exponents, with s = q^t + 1 and N = q^n - 1:
+    GF(q^t)* is omega^j for j = 0 mod s and W* is omega^j for j = s/2
+    mod s (see FieldCtx.w_unity_root). So a value of f(x)/x lies in
+    GF(q^t) iff its bin (see LinPoly._fibers) is 0 mod s, the bin N of
+    the value 0 included, as s divides N; and (omega^j)^m is omega^(j*m
+    mod N). The bins of the values and the exponents of the parts are
+    compared as sets, as the values would be."""
     k = _norm_k(ctx, k)
-    vals = build_psi(ctx, k).line_values()
-    t, n, M = ctx.t, ctx.n, ctx.order
-    if len(vals) != (M - 1) // (ctx.q - 1):
+    bins = build_psi(ctx, k)._fibers()[0]
+    t, n, N = ctx.t, ctx.n, ctx.mult_order
+    if len(bins) != N // (ctx.q - 1):
         raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
 
-    sub, wstar = _halves(ctx)
-    part_sub = np.unique(ctx.vpow_int(sub, ctx.q ** ((t - k) % n) - 1))
-    part_skew = np.unique(ctx.vpow_int(wstar, ctx.q ** (k % n) - 1))
+    s = ctx.q ** t + 1
+    js = np.arange(0, N, s, dtype=np.int64)
+    part_sub = np.unique(js * ((ctx.q ** ((t - k) % n) - 1) % N) % N)
+    part_skew = np.unique((js + s // 2) * ((ctx.q ** (k % n) - 1) % N) % N)
 
-    inter = vals[ctx.vfrob(vals, t) == vals]
+    inter = bins[bins % s == 0]
 
     union = np.union1d(part_sub, part_skew)
     disjoint = len(np.intersect1d(part_sub, part_skew)) == 0
-    covers = np.array_equal(np.sort(inter), union)
+    covers = np.array_equal(inter, union)
     return BaerReport(k, int(len(inter)), int(len(part_sub)),
                       int(len(part_skew)), bool(disjoint), bool(covers))

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from scatpoly.codes import build_code, idealiser
 from scatpoly.errors import BadParams, EvenP, FieldTooLarge, NonPrimeP, ReducibleModulus, TSmall
 from scatpoly.fields import (FieldCtx, FieldSpec, _SLICE, build_field, is_irreducible,
                              smallest_irreducible)
-from scatpoly.linsets import subspace_equivalent
+from scatpoly.linsets import subspace_equivalent, valid_u2_deltas
 from scatpoly.scattered import build_psi, is_scattered_fibers, is_scattered_ranks
 
 
@@ -21,6 +23,22 @@ def test_parameter_validation():
         build_field(3, 0, 3)
     with pytest.raises(TSmall):
         build_field(3, 1, 2)
+
+
+def test_parameters_normalised_once(ctx33):
+    # numpy integers name the same field as Python ones; bools, floats and
+    # strings are not integers
+    assert build_field(np.int64(3), np.int64(1), np.int64(3)) is ctx33
+    assert build_field(3, 1, np.int32(3)) is ctx33
+    mod = np.array([2, 1, 0, 0, 0, 0, 1], dtype=np.int64)
+    explicit = build_field(3, 1, 3, modulus=mod)
+    assert explicit.spec == ctx33.spec and explicit.modulus == (2, 1, 0, 0, 0, 0, 1)
+    assert build_field(3, 1, 3, modulus=[2, 1, 0, 0, 0, 0, 1]) is explicit
+    for args in ((3, True, 3), (5.0, 1, 3), (3, 1, "3"), (True, 1, 3), (3, 1, 3.0)):
+        with pytest.raises(BadParams):
+            build_field(*args)
+    with pytest.raises(BadParams):
+        build_field(3, 1, 3, modulus=[2.0, 1, 0, 0, 0, 0, 1])
 
 
 def test_modulus_validation():
@@ -131,6 +149,19 @@ def test_frobenius(ctx33, ctx923):
             assert ctx.frob(a, 1) == ctx.pow_(a, ctx.q)
             assert ctx.frob(ctx.frob(a, 2), ctx.n - 2) == a
         assert ctx.frob_p(int(xs[0]), ctx.e) == ctx.frob(int(xs[0]), 1)
+
+
+def test_frobenius_without_tables(ctx33, ctx923, bare_field):
+    # the no-table path applies the digit matrix of x -> x^(p^j)
+    for ctx in (ctx33, ctx923):
+        bare = bare_field(ctx.p, ctx.e, ctx.t)
+        rng = np.random.default_rng(13)
+        for a in [0, 1, ctx.omega, *map(int, rng.integers(0, ctx.order, size=20))]:
+            for j in range(ctx.en):
+                assert bare.frob_p(a, j) == ctx.frob_p(a, j), (ctx, a, j)
+            for k in range(-1, ctx.n + 1):
+                assert bare.frob(a, k) == ctx.frob(a, k), (ctx, a, k)
+        assert not bare.has_tables
 
 
 def test_trace_norm(ctx53):
@@ -280,6 +311,54 @@ def test_tables_refused_above_the_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20 and not ctx.has_tables and not hasattr(ctx, "_exp")
+
+
+def test_table_reads(ctx33, ctx923, bare_field):
+    # vgen_power and vlog against scalar powers; a bare twin builds its
+    # tables at the first of them
+    for ctx in (ctx33, ctx923):
+        M = ctx.mult_order
+        bare = bare_field(ctx.p, ctx.e, ctx.t)
+        js = np.random.default_rng(17).integers(0, M, size=200)
+        assert not bare.has_tables
+        got = bare.vgen_power(js)
+        assert bare.has_tables
+        assert got.tolist() == [ctx.gen_power(int(j)) for j in js]
+        assert np.array_equal(bare.vlog(got), js)
+        assert np.array_equal(bare.vgen_power(js - M), got)
+        assert np.array_equal(bare.vgen_power(slice(5, 300)), ctx.vgen_power(np.arange(5, 300)))
+        assert np.array_equal(bare.vlog(np.array([0, 1])), [-1, 0])
+
+
+def test_whole_field_reads_refused_above_the_limit():
+    # 191^6 elements: FieldTooLarge before any whole-field array is made
+    ctx = build_field(191, 1, 3)
+    tracemalloc.start()
+    try:
+        for call in (lambda: ctx.vgen_power(np.arange(4)),
+                     lambda: is_scattered_fibers(build_psi(ctx, 1)),
+                     lambda: valid_u2_deltas(ctx)):
+            with pytest.raises(FieldTooLarge):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and not ctx.has_tables
+
+
+def test_only_fields_reads_the_tables():
+    # the table format is known to fields.py alone: no other module of the
+    # package touches the arrays or the calls that build them
+    private = {"_exp", "_log", "_zech", "_frob_q", "_need_tables", "_build_tables"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "scatpoly"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert len(list(src.glob("*.py"))) > 1 and not found, found
 
 
 def test_build_rejects_non_generator(bare_field):

@@ -12,8 +12,8 @@ from scatpoly.linalg import batch_dickson_rank, digit_contract
 from scatpoly.linpoly import LinPoly
 from scatpoly.scattered import (
     ScatterVerdict,
+    BaerReport,
     _commutator_tensor,
-    _halves,
     alpha_poly,
     baer_partition_check,
     beta_poly,
@@ -285,12 +285,50 @@ def test_fiber_witness_pinned_to_smallest_oversized_value(fixture, k, request):
 
 @pytest.mark.parametrize("fixture", ["ctx53", "ctx34", "ctx923"])
 def test_halves_match_frobenius_masks(fixture, request):
+    # with s = q^t + 1: GF(q^t)* is omega^j for j = 0 mod s, W* is omega^j
+    # for j = s/2 mod s, against the Frobenius masks of every element
     ctx = request.getfixturevalue(fixture)
+    s = ctx.q ** ctx.t + 1
     els = np.arange(1, ctx.order, dtype=np.int64)
     frobt = ctx.vfrob(els, ctx.t)
-    sub, wstar = _halves(ctx)
-    assert np.array_equal(np.sort(sub), els[frobt == els])
-    assert np.array_equal(np.sort(wstar), els[ctx.vadd(els, frobt) == 0])
+    logs = ctx.vlog(els)
+    assert np.array_equal(logs % s == 0, frobt == els)
+    assert np.array_equal(logs % s == s // 2, ctx.vadd(els, frobt) == 0)
+
+
+def _baer_by_values(ctx, k):
+    """baer_partition_check in the value domain: the halves as elements,
+    their images by element-wise powers, and the subline by the
+    q^t-Frobenius of the values of f(x)/x."""
+    vals = build_psi(ctx, k).line_values()
+    t, n, M = ctx.t, ctx.n, ctx.order
+    if len(vals) != (M - 1) // (ctx.q - 1):
+        raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
+    s = ctx.q ** ctx.t + 1
+    js = np.arange(0, ctx.mult_order, s, dtype=np.int64)
+    sub, wstar = ctx.vgen_power(js), ctx.vgen_power(js + s // 2)
+    part_sub = np.unique(ctx.vpow_int(sub, ctx.q ** ((t - k) % n) - 1))
+    part_skew = np.unique(ctx.vpow_int(wstar, ctx.q ** (k % n) - 1))
+    inter = vals[ctx.vfrob(vals, t) == vals]
+    union = np.union1d(part_sub, part_skew)
+    disjoint = len(np.intersect1d(part_sub, part_skew)) == 0
+    covers = np.array_equal(np.sort(inter), union)
+    return BaerReport(k, int(len(inter)), int(len(part_sub)),
+                      int(len(part_skew)), bool(disjoint), bool(covers))
+
+
+@pytest.mark.parametrize("pet", [(5, 1, 3), (3, 1, 4), (3, 2, 3), (5, 1, 4)])
+def test_baer_exponents_match_values(pet):
+    # every k: the report of each scattered psi_k, and NotScattered for the rest
+    ctx = build_field(*pet)
+    for k in range(1, ctx.n):
+        try:
+            want = _baer_by_values(ctx, k)
+        except NotScattered:
+            with pytest.raises(NotScattered):
+                baer_partition_check(ctx, k)
+            continue
+        assert baer_partition_check(ctx, k) == want, k
 
 
 # -- orbit sweeps against full-field passes -------------------------------------
