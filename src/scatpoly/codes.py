@@ -129,8 +129,12 @@ def adjoint_code(code: RankCode) -> RankCode:
 
 def code_equivalent(c1: RankCode, c2: RankCode, with_automorphisms: bool = True
                     ) -> Optional[linsets.Certificate]:
-    """Equivalence of the codes reduces to equivalence of the defining
-    polynomials' graph subspaces; delegates to subspace_equivalent."""
+    """A certificate of equivalence of the codes, read off the subspace
+    equivalence of the defining polynomials' graph subspaces through
+    subspace_equivalent. That covers equivalence without transposition
+    only. With transposition the codes are equivalent iff U_(f1) is
+    equivalent to U_(f2) or to U_(f2^), f2^ being the adjoint (Sheekey
+    2016), so a None from here does not rule that out."""
     if c1.ctx is not c2.ctx:
         raise CtxMismatch("codes live over different field contexts")
     return linsets.subspace_equivalent(c1.f, c2.f,

@@ -11,16 +11,18 @@ Subspace equivalence asks for a field automorphism tau and an invertible
 M = [[a, b], [c, d]] over GF(q^n) with M * U_(f^tau) = U_g, that is
 g(a*x + b*F(x)) = c*x + d*F(x) with F = f^tau. The answer is exact, with
 no search space and no budget. The equation is GF(p)-linear in the
-digits of (a, b, c, d), so for each twist its solutions form the
-nullspace S of a small GF(p) system, and det M = a*d - b*c is a quadratic
-form Q on S. On an affine space v0 + span(U), Q has degree 2 < p in the
-coordinates, so it vanishes everywhere iff it vanishes at v0, v0 + u_i,
-v0 + 2*u_i and v0 + u_i + u_j. That test rules a twist out, and, applied
-digit by digit, reads off S the certificate with the smallest (b, a).
-The system is built from the composition matrix L_g (LinPoly.left_matrix)
-and Q is evaluated through M_a, so equivalence needs no field tables and
-runs above TABLE_LIMIT. Every certificate returned is re-verified by
-explicit composition.
+digits of (a, b, c, d), and c and d are read off it in closed form from
+(a, b), so for each twist its solutions form the nullspace S of a small
+GF(p) system in the digits of (a, b) alone, and det M = a*d - b*c is a
+quadratic form Q on S. On an affine space v0 + span(U), Q has degree
+2 < p in the coordinates, so it vanishes everywhere iff it vanishes at
+v0, v0 + u_i, v0 + 2*u_i and v0 + u_i + u_j. That test rules a twist
+out, and, applied digit by digit, reads off S the certificate with the
+smallest (b, a). The system is built from the composition matrix L_g
+(LinPoly.left_matrix) and the multiplication matrices M_(F_i), and Q is
+evaluated through M_a, so equivalence needs no field tables and runs
+above TABLE_LIMIT. Every certificate returned is re-verified by explicit
+composition.
 """
 
 from __future__ import annotations
@@ -211,23 +213,48 @@ class Certificate:
         return g.compose(h) == rhs
 
 
+def _solutions(ctx, L_g: np.ndarray, F: LinPoly) -> np.ndarray:
+    """Basis rows, as the digits of (a, b, c, d), of the GF(p)-space of
+    solutions of g(a*x + b*F(x)) = c*x + d*F(x), F not scalar.
+
+    With X_k the poly_vec coordinates of p^k * x and P_k those of p^k * F,
+    whose slot i is column k of M_i = M_(F_i), slot i of g(a*x + b*F(x)) is
+    G_i [a; b] for the slot blocks G_i of G = L_g [X | P]. The equation
+    reads G_0 [a; b] = c + M_0 d and G_i [a; b] = M_i d for i >= 1. For
+    the first s >= 1 with F_s nonzero, that gives d = D [a; b] and
+    c = C [a; b] in closed form, with D = M_(F_s^-1) G_s and
+    C = G_0 - M_0 D. So only the 2*e*n digits of (a, b) are eliminated, on
+    the blocks G_i - M_i D for i not in {0, s}, and each nullspace row N
+    is lifted to [N, N C^T, N D^T]."""
+    p, en, n = ctx.p, ctx.en, ctx.n
+    s = next(i for i in range(1, n) if F.coeffs[i])
+    # M[i] = M_(F_i) for i < n, and M[n] = M_(F_s^-1)
+    elems = np.array(F.coeffs + (ctx.inv(F.coeffs[s]),), dtype=np.int64)
+    M = linalg.digit_contract(ctx, linalg.mult_tensor(ctx), elems).transpose(2, 0, 1)
+    M = M.astype(np.int64)
+    G = np.concatenate([L_g[:, :en], L_g @ M[:n].reshape(n * en, en)], axis=1)
+    G = G.reshape(n, en, 2 * en) % p
+    D = M[n] @ G[s] % p
+    C = (G[0] - M[0] @ D) % p
+    rest = [i for i in range(1, n) if i != s]
+    N = linalg.modp_nullspace((G[rest] - M[rest] @ D).reshape(-1, 2 * en) % p, p)
+    return np.concatenate([N, N @ C.T % p, N @ D.T % p], axis=1)
+
+
 def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
                       ) -> Optional[Certificate]:
     """The invertible M = [[a, b], [c, d]] solving
     g(a*x + b*F(x)) = c*x + d*F(x) with the smallest (b, a) in index order,
     comparing b first, or None when every solution is singular.
 
-    The unknowns are the e*n base-p digits of each of a, b, c, d. With X_k
-    and P_k the poly_vec coordinates of p^k * x and p^k * F, digit k of a
-    has the column L_g X_k, of b L_g P_k, of c -X_k and of d -P_k, so the
-    solutions form the nullspace S of one GF(p) system. Index order compares base-p digits from the top one down, so
-    the digits of b and then of a are fixed in that order, each to the
-    first value that leaves an invertible point in the affine space left.
-    c and d are then fixed as well, because F is not scalar."""
+    The solutions form the GF(p)-space S of _solutions, where c and d are
+    functions of (a, b). Index order compares base-p digits from the top
+    one down, so the digits of b and then of a are fixed in that order,
+    each to the first value that leaves an invertible point in the affine
+    space left. Each step depends on that affine space only, so the
+    certificate does not depend on the basis of S."""
     p, en = ctx.p, ctx.en
-    X = np.eye(len(L_g), en, dtype=np.int64)
-    P = F.right_matrix() @ X  # (p^k * x) o F = p^k * F
-    U = linalg.modp_nullspace(np.concatenate([L_g @ X, L_g @ P, -X, -P], axis=1) % p, p)
+    U = _solutions(ctx, L_g, F)
     v0 = np.zeros(4 * en, dtype=np.int64)
     if not _span_has_invertible(ctx, v0, U):
         return None
@@ -279,13 +306,10 @@ def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True
     if not any(f.coeffs[1:]):
         raise BadParams("equivalence search needs a non-scalar map on the left")
     L_g = g.left_matrix()
-    seen = set()
-    for j in range(ctx.en if with_automorphisms else 1):
-        F = f.frob_twist(j)
-        if F.coeffs in seen:
-            continue
-        seen.add(F.coeffs)
-        cert = _read_certificate(ctx, L_g, F, j)
+    # f^(p^j) has period coeff_degree() in j, so the twists below it are
+    # the distinct ones
+    for j in range(f.coeff_degree() if with_automorphisms else 1):
+        cert = _read_certificate(ctx, L_g, f.frob_twist(j), j)
         if cert is None:
             continue
         if not cert.verify(f, g):

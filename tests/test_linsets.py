@@ -14,6 +14,7 @@ from scatpoly.linsets import (
     Certificate,
     _inclusion_tensor,
     _read_certificate,
+    _solutions,
     _span_has_invertible,
     find_u1_equivalence,
     find_u2_equivalence,
@@ -410,10 +411,35 @@ def _oracle_certificate(ctx, F, g, twist):
     return None
 
 
-@PROPERTY
-@given(data=st.data())
-def test_linear_check_agrees_with_exhaustive_search(ctx33, data):
-    ctx = ctx33
+def _full_system_solutions(ctx, L_g, F):
+    """Reference: the nullspace of the system in all four unknowns,
+    [L_g X, L_g P_F, -X, -P_F], where column k of X and of P_F holds the
+    poly_vec coordinates of p^k * x and of p^k * F."""
+    p, en = ctx.p, ctx.en
+    X = np.eye(len(L_g), en, dtype=np.int64)
+    P = F.right_matrix() @ X  # (p^k * x) o F = p^k * F
+    return linalg.modp_nullspace(np.concatenate([L_g @ X, L_g @ P, -X, -P], axis=1) % p, p)
+
+
+def _smallest_invertible_solution(ctx, U, twist):
+    """The invertible point with the smallest (b, a) among all p^k points
+    of the span of the k rows of U, each the digits of (a, b, c, d)."""
+    en, M = ctx.en, ctx.order
+    a, b, c, d = (linalg.span_indices(U[:, i * en:(i + 1) * en].T, ctx.p)
+                  for i in range(4))
+    ok = np.flatnonzero(ctx.vmul(a, d) != ctx.vmul(b, c))
+    if len(ok) == 0:
+        return None
+    i = ok[np.argmin(b[ok] * M + a[ok])]
+    return Certificate(twist, int(a[i]), int(b[i]), int(c[i]), int(d[i]))
+
+
+# GF(3^6) is small enough to try every pair (a, b). GF(9^6), where the
+# twists are p-power and not q-power Frobenius maps, has 9^12 pairs, so
+# there the search runs over every point of the solution space of the full
+# system instead, when it has at most 3^8 of them. At GF(3^6) the two
+# searches must agree on such spaces.
+def _check_against_search(ctx, data):
     f = _sparse_poly(ctx, data)
     kind = data.draw(st.sampled_from(["sparse", "diagonal", "general"]))
     units = st.one_of(st.just(1), st.just(ctx.neg(1)), st.integers(1, ctx.order - 1))
@@ -426,16 +452,68 @@ def test_linear_check_agrees_with_exhaustive_search(ctx33, data):
         g = _general_pair(ctx, f, data.draw(st.integers(0, ctx.en - 1)),
                           *(data.draw(units) for _ in range(4)))
         assume(g is not None)
+    L_g = g.left_matrix()
     seen, verdicts = set(), []
     for j in range(ctx.en):
         F = f.frob_twist(j)
         if F in seen:
             continue
         seen.add(F)
-        cert = _read_certificate(ctx, g.left_matrix(), F, j)
-        assert cert == _oracle_certificate(ctx, F, g, j)
+        U = _full_system_solutions(ctx, L_g, F)
+        if ctx.order <= 729:
+            want = _oracle_certificate(ctx, F, g, j)
+            if len(U) <= 8:
+                assert _smallest_invertible_solution(ctx, U, j) == want
+        else:
+            assume(len(U) <= 8)
+            want = _smallest_invertible_solution(ctx, U, j)
+        cert = _read_certificate(ctx, L_g, F, j)
+        assert cert == want
         verdicts.append(cert is not None)
     assert any(verdicts) or kind == "sparse"
+
+
+@PROPERTY
+@given(data=st.data())
+def test_linear_check_agrees_with_exhaustive_search(ctx33, data):
+    _check_against_search(ctx33, data)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_linear_check_agrees_with_exhaustive_search_at_q9(ctx923, data):
+    _check_against_search(ctx923, data)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 2, 3)])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_closed_form_solutions_match_the_full_system(pet, data):
+    # F_0 and the slots below the first non-constant term s are drawn
+    # apart, so C (which needs F_0) and every choice of s are exercised
+    ctx = build_field(*pet)
+    n = ctx.n
+    unit = st.integers(1, ctx.order - 1)
+    s = data.draw(st.integers(1, n - 1))
+    coeffs = [data.draw(st.one_of(st.just(0), unit))] + [0] * (n - 1)
+    coeffs[s] = data.draw(unit)
+    for i in range(s + 1, n):
+        coeffs[i] = data.draw(st.one_of(st.just(0), unit))
+    F = LinPoly(ctx, coeffs)
+    kind = data.draw(st.sampled_from(["random", "same", "general"]))
+    if kind == "random":
+        g = LinPoly(ctx, data.draw(st.lists(st.integers(0, ctx.order - 1),
+                                            min_size=n, max_size=n)))
+    elif kind == "same":
+        g = F
+    else:
+        g = _general_pair(ctx, F, 0, *(data.draw(unit) for _ in range(4)))
+        assume(g is not None)
+    L_g = g.left_matrix()
+    got, want = _solutions(ctx, L_g, F), _full_system_solutions(ctx, L_g, F)
+    assert got.shape == want.shape
+    assert np.array_equal(linalg.modp_rref(got, ctx.p)[0],
+                          linalg.modp_rref(want, ctx.p)[0])
 
 
 def test_certificates_above_the_old_budget(ctx923):
