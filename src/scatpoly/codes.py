@@ -210,12 +210,11 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
         commutative = np.array_equal(C, C.transpose(2, 1, 0))
         # every nonzero GF(p)-combination of the basis, up to the first
         # singular one
-        place = p ** np.arange(dim_p, dtype=np.int64)
-        pows = p ** np.arange(en, dtype=np.int64)
         for lo, hi in linalg.sweep_slices(p ** dim_p - 1):
             idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            vecs = (idx[:, None] // place % p) @ xi % p
-            ranks = linalg.batch_dickson_rank(ctx, (vecs.reshape(-1, ctx.n, en) @ pows).T)
+            vecs = linalg.mod_p_product(xi.T, linalg.digit_planes(idx, p, dim_p), p)
+            coeffs = linalg.plane_indices(vecs.reshape(ctx.n, en, -1).swapaxes(0, 1), p)
+            ranks = linalg.batch_dickson_rank(ctx, coeffs)
             if (ranks < ctx.n).any():
                 all_invertible = False
                 break

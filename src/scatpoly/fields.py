@@ -14,7 +14,9 @@ Only FieldCtx reads the tables: the scalar fast paths, the eight v-kernels
 (vadd, vneg, vsub, vmul, vscale, vinv, vfrob, vpow_int), and vgen_power
 and vlog, through which every other module gets omega^j and discrete logs.
 
-The tables are four int64 arrays, 32 bytes per element. Building them
+The tables are four int64 arrays, 32 bytes per element. They are built
+by doubling on the digit planes of omega^j, each step one exact GF(p)
+product (linalg.mod_p_product, which states why it is exact). Building them
 peaks at max(32, e*n + 17) bytes per element plus a few MB of slice
 buffers; on one core of a 2-core x86 box GF(13^6) (4.8M elements) takes
 about 0.45 s, GF(5^10) (9.8M) about 1.4 s and GF(3^16) (43M) about 10 s
@@ -32,6 +34,7 @@ import sympy
 
 from .errors import (BadParams, EvenP, FieldTooLarge, NonPrimeP,
                      ReducibleModulus, TSmall)
+from .linalg import digit_planes, mod_p_product, plane_indices
 
 TABLE_LIMIT = 1 << 26
 EAGER_LIMIT = 1 << 20  # built at construction up to here: about 0.1 s, and fast scalars
@@ -231,12 +234,12 @@ class FieldCtx:
             basis.append(X @ basis[-1] % p)
         basis = np.stack(basis)
         one = basis[0, :, 0]
-        pows = np.array(self._ppow[:en], dtype=np.int64)
         lo, size = 2, 16
         while lo < self.order:
             cand = np.arange(lo, min(lo + size, self.order), dtype=np.int64)
             lo, size = lo + size, min(2 * size, 256)
-            squares = [np.einsum("bd,drc->brc", cand[:, None] // pows % p, basis) % p]
+            digs = digit_planes(cand, p, en, np.int64)
+            squares = [np.einsum("db,drc->brc", digs, basis) % p]
             for _ in range(M.bit_length() - 1):
                 squares.append(squares[-1] @ squares[-1] % p)
             ok = np.ones(len(cand), dtype=bool)
@@ -253,13 +256,8 @@ class FieldCtx:
     def _build_tables(self):
         # Digit planes V[:, j] = digits(omega^j), filled by doubling:
         # V[:, b:2b] = A^b V[:, :b] mod p with A the matrix of y -> omega*y
-        # and A^b squared at each step. Each slice of 2^16 columns is one
-        # float32 einsum, reduced by X -= p*floor(X/p). That is exact: every
-        # entry is an integer X <= (p-1)^2*e*n < 2^24, exact in float32, and
-        # the correctly rounded X/p is off by at most X/p * 2^-24 < 1/p, while
-        # a non-integer X/p lies at least 1/p below the next integer; so the
-        # floor is the true floor. exp is read from the planes by Horner's
-        # rule.
+        # and A^b squared at each step, one exact product
+        # (linalg.mod_p_product) per slice of 2^16 columns.
         # Peak: the planes (e*n bytes per element) with exp and 1 + omega^k
         # (8 each), then at most four int64 arrays of the field's size, so
         # max(32, e*n + 17) bytes per element plus the slice buffers.
@@ -269,19 +267,13 @@ class FieldCtx:
         A = self._mult_matrix(self.omega)
         b = 1
         while b < M:
-            Af = A.astype(np.float32)
             hi = min(2 * b, M)
             for lo in range(b, hi, _SLICE):
                 top = min(lo + _SLICE, hi)
-                X = np.einsum("ij,jk->ik", Af, V[:, lo - b:top - b].astype(np.float32))
-                X -= p * np.floor(X / p)
-                V[:, lo:top] = X
+                V[:, lo:top] = mod_p_product(A, V[:, lo - b:top - b], p)
             A = A @ A % p
             b *= 2
-        exp = V[en - 1].astype(np.int64)
-        for r in range(en - 2, -1, -1):
-            exp *= p
-            exp += V[r]
+        exp = plane_indices(V, p)
         # 1 + omega^k: add one to digit 0, which wraps from p - 1 to 0
         one_plus = exp + 1
         np.subtract(one_plus, p, out=one_plus, where=V[0] == p - 1)

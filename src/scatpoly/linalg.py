@@ -1,4 +1,6 @@
-"""Linear-algebra kernels: batched rank sweeps plus small dense solvers.
+"""Linear-algebra kernels: the digit codec, the package's one conversion
+between element indices and base-p digit planes and one exact float
+product mod p; batched rank sweeps; small dense solvers.
 
 Batch routines take numpy int64 arrays of element indices, turn every
 matrix into its GF(p)-matrix and rank the whole batch with one lockstep
@@ -18,6 +20,51 @@ from .errors import BadParams
 
 # the largest batch any sweep hands the kernel at once
 SLICE = 1 << 16
+
+
+# ---------------------------------------------------------------------------
+# the digit codec
+
+
+def digit_planes(vals, p: int, en: int, dtype=np.float32) -> np.ndarray:
+    """Base-p digits of the element indices vals, lowest digit first, by
+    integer division: out[d] holds digit d of every entry, in vals' shape."""
+    rest = np.asarray(vals, dtype=np.int64)
+    out = np.empty((en,) + rest.shape, dtype=dtype)
+    for d in range(en):
+        quot = rest // p
+        out[d] = rest - quot * p
+        rest = quot
+    return out
+
+
+def plane_indices(planes: np.ndarray, p: int) -> np.ndarray:
+    """The int64 element indices whose digit planes, lowest first, are
+    planes[d], integral in any dtype: the inverse of digit_planes."""
+    out = np.array(planes[-1], dtype=np.int64)
+    for plane in planes[-2::-1]:
+        out *= p
+        np.add(out, plane, out=out, casting="unsafe", dtype=np.int64)
+    return out
+
+
+def mod_p_product(A: np.ndarray, planes: np.ndarray, p: int) -> np.ndarray:
+    """A @ planes mod p, as floats, A and planes holding residues 0..p-1.
+
+    The product is taken in float32 when K*p^2 < 2^24 (K = A.shape[-1]),
+    else in float64, and reduced by X - p*floor(X/p). That is exact while
+    K*p^2 < 2^b, b = 24 in float32 and 53 in float64: every entry is an
+    integer X <= K*(p-1)^2 < 2^b, exact in the float type; the correctly
+    rounded X/p is off by at most X/p * 2^-b < 1/p, while a non-integer X/p
+    lies at least 1/p below the next integer, so the floor is the true
+    floor and the difference the true residue."""
+    dtype = np.float32 if A.shape[-1] * p * p < 1 << 24 else np.float64
+    X = np.asarray(A).astype(dtype) @ planes.astype(dtype, copy=False)
+    Y = X / p
+    np.floor(Y, out=Y)
+    Y *= p
+    X -= Y
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -88,69 +135,33 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _digit_planes(vals: np.ndarray, p: int, en: int) -> np.ndarray:
-    """Base-p digits of the (K, N) element indices vals, by integer
-    division, as float planes out[k * en + d, j] for an exact contraction."""
-    rest = np.array(vals, dtype=np.int64)
-    K, N = rest.shape
-    out = np.empty((K, en, N), dtype=np.float64)
-    for d in range(en):
-        quot = rest // p
-        out[:, d] = rest - quot * p
-        rest = quot
-    return out.reshape(K * en, N)
-
-
 def _contract(T: np.ndarray, planes: np.ndarray, p: int) -> np.ndarray:
     """T @ planes mod p in the kernel's residue type, 16 rows at a time so
-    the float and int64 temporaries stay small. The float product is exact:
-    each entry sums e*n^2 terms below p^2 < 2^31, far below 2^53."""
-    T = T.astype(np.float64)
+    the float temporaries stay small."""
     out = np.empty((len(T), planes.shape[1]), dtype=_residue_dtype(p))
     for k in range(0, len(T), 16):
-        out[k:k + 16] = _reduce((T[k:k + 16] @ planes).astype(np.int64), p)
+        out[k:k + 16] = mod_p_product(T[k:k + 16], planes, p)
     return out
 
 
 def apply_matrix(ctx, A: np.ndarray, xs) -> np.ndarray:
     """Indices of A x for every x in xs, A being an (e*n, e*n) GF(p)-matrix
-    on digit vectors, by a digit contraction of xs, SLICE elements at a
-    time, whose digit rows are assembled top digit first. Reads no
-    tables."""
+    on digit vectors, by A on the digit planes of xs, SLICE elements at a
+    time. Reads no tables."""
     xs = np.asarray(xs, dtype=np.int64)
     out = np.empty(xs.size, dtype=np.int64)
     for lo in range(0, xs.size, SLICE):
-        rows = digit_contract(ctx, A.T, xs.ravel()[lo:lo + SLICE])
-        v = out[lo:lo + SLICE]
-        v[:] = rows[-1]
-        for r in rows[-2::-1]:
-            v *= ctx.p
-            v += r
+        planes = digit_planes(xs.ravel()[lo:lo + SLICE], ctx.p, ctx.en)
+        out[lo:lo + SLICE] = plane_indices(mod_p_product(A, planes, ctx.p), ctx.p)
     return out.reshape(xs.shape)
 
 
 def span_indices(A: np.ndarray, p: int) -> np.ndarray:
     """Indices of A c for every c in GF(p)^k in counting order, c_0 least
-    significant, A being an (e*n, k) matrix mod p: f(x) for every x in
-    index order when A = A_f, a kernel ascending when A is the transpose
-    of a modp_nullspace basis. Digit row r of A (c + j*u_d), c zero from
-    coordinate d on, is that of A c plus j*A[r, d], so each row grows from
-    its first entry in k block steps, one addition each."""
-    # residues below p stay below 2p < 128 before their reduction
-    row = np.empty(p ** A.shape[1], dtype=np.int8 if p < 64 else np.int16)
-    out = np.zeros(len(row), dtype=np.int64)
-    for r in reversed(range(len(A))):
-        row[0] = 0
-        size = 1
-        for a in A[r].tolist():
-            for j in range(1, p):
-                blk = row[j * size:(j + 1) * size]
-                np.add(row[(j - 1) * size:j * size], a, out=blk)
-                np.subtract(blk, p, out=blk, where=blk >= p)
-            size *= p
-        out *= p
-        out += row
-    return out
+    significant, A being an (e*n, k) matrix mod p: a kernel ascending when
+    A is the transpose of a modp_nullspace basis."""
+    k = A.shape[1]
+    return plane_indices(mod_p_product(A, digit_planes(np.arange(p ** k), p, k), p), p)
 
 
 def qpoly_matrices(ctx, coeff_cols: np.ndarray) -> np.ndarray:
@@ -161,8 +172,10 @@ def qpoly_matrices(ctx, coeff_cols: np.ndarray) -> np.ndarray:
     b-th polynomial. Slice [:, :, b] acts on column digit vectors."""
     p, en = ctx.p, ctx.en
     n, B = coeff_cols.shape
-    T = ctx.action_tensor().reshape(n * en, en * en).T
-    return _contract(T, _digit_planes(coeff_cols, p, en), p).reshape(en, en, B)
+    # column d*n + i is slot i*e*n + d, in the planes' (digit, slot) order
+    T = ctx.action_tensor().reshape(n, en, en * en).transpose(2, 1, 0)
+    planes = digit_planes(coeff_cols, p, en).reshape(en * n, B)
+    return _contract(T.reshape(en * en, en * n), planes, p).reshape(en, en, B)
 
 
 def digit_contract(ctx, T: np.ndarray, elems: np.ndarray) -> np.ndarray:
@@ -173,7 +186,7 @@ def digit_contract(ctx, T: np.ndarray, elems: np.ndarray) -> np.ndarray:
     planes of a batch gives all its matrices."""
     p, en = ctx.p, ctx.en
     T = np.asarray(T)
-    out = _contract(T.reshape(en, -1).T, _digit_planes(np.reshape(elems, (1, -1)), p, en), p)
+    out = _contract(T.reshape(en, -1).T, digit_planes(np.ravel(elems), p, en), p)
     return out.reshape(T.shape[1:] + np.shape(elems))
 
 

@@ -120,10 +120,9 @@ class LinPoly:
                         dtype=np.int64).T
 
     def eval_all(self) -> np.ndarray:
-        """f(x) for every x in index order, by GF(p)-linearity and no tables
-        (see linalg.span_indices)."""
+        """f(x) for every x in index order, by eval_vec; reads no tables."""
         self.ctx._need_whole_field()
-        return linalg.span_indices(self.matrix(), self.ctx.p)
+        return self.eval_vec(np.arange(self.ctx.order, dtype=np.int64))
 
     def _fibers(self):
         """(occupied, sizes) of x -> f(x)/x on nonzero x, in the log domain.
@@ -250,14 +249,13 @@ def poly_vec(ctx, coeffs) -> np.ndarray:
     """q-polynomials as GF(p)-vectors of length n*(e*n): the little-endian
     base-p digit blocks of their coefficients, slot by slot. coeffs has
     shape (..., n), one coefficient vector per polynomial."""
-    c = np.asarray(coeffs, dtype=np.int64)[..., None]
-    digits = c // ctx.p ** np.arange(ctx.en, dtype=np.int64) % ctx.p
+    digits = np.moveaxis(linalg.digit_planes(coeffs, ctx.p, ctx.en, np.int64), 0, -1)
     return digits.reshape(*digits.shape[:-2], -1)
 
 
 def vec_poly(ctx, v: np.ndarray) -> LinPoly:
     """The q-polynomial with GF(p)-vector v; inverse of poly_vec."""
-    return LinPoly(ctx, np.reshape(v, (ctx.n, ctx.en)) @ ctx.p ** np.arange(ctx.en))
+    return LinPoly(ctx, linalg.plane_indices(np.reshape(v, (ctx.n, ctx.en)).T, ctx.p))
 
 
 def _block_matrix(T: np.ndarray) -> np.ndarray:

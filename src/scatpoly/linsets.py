@@ -268,7 +268,7 @@ def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
         U = (U - np.outer(U[:, pos], u)) % p
         v0 = next(w for w in ((v0 + (x - v0[pos]) * u) % p for x in range(p))
                   if _span_has_invertible(ctx, w, U))
-    a, b, c, d = (int(v) for v in v0.reshape(4, en) @ p ** np.arange(en, dtype=np.int64))
+    a, b, c, d = linalg.plane_indices(v0.reshape(4, en).T, p).tolist()
     return Certificate(twist, a, b, c, d)
 
 

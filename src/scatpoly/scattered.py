@@ -185,28 +185,23 @@ def shift_orbits(f: LinPoly):
     sigma_d(f(x) + m*x) = f(sigma_d(x)) + sigma_d(m)*sigma_d(x), and
     sigma_d maps ker(f + m*id) onto ker(f + sigma_d(m)*id). The rank of
     f + m*id is therefore constant on each orbit. The images are taken in
-    digit space, by the GF(p) digit matrix of sigma_d on float32 digit
-    planes of the slice, with no table read. That is exact, as in the
-    table build: on a field of at most 2^26 elements every entry of a
-    product is an integer below e*n*(p-1)^2 < 2^24, so its floor division
-    by p is exact. e*n/d steps give the identity, and a map with d = e*n
-    keeps every shift."""
+    digit space, by the GF(p) digit matrix of sigma_d on the digit planes
+    of the slice (an exact linalg.mod_p_product), with no table read.
+    e*n/d steps give the identity, and a map with d = e*n keeps every
+    shift."""
     ctx = f.ctx
     ctx._need_whole_field()
     p, en = ctx.p, ctx.en
     d = f.coeff_degree()
-    F = ctx._frob_matrix(d).astype(np.float32)
-    pows = np.array(ctx._ppow[:en], dtype=np.float64)
+    F = ctx._frob_matrix(d)
 
     def step(planes):
-        planes = F @ planes
-        planes -= p * np.floor(planes / p)
-        return planes, (pows @ planes).astype(np.int64)
+        planes = linalg.mod_p_product(F, planes, p)
+        return planes, linalg.plane_indices(planes, p)
 
     for lo, hi in linalg.sweep_slices(ctx.order):
         ms = np.arange(lo, hi, dtype=np.int64)
-        planes = linalg._digit_planes(ms[None], p, en).astype(np.float32)
-        yield _orbit_minima(ms, planes, step, en // d)
+        yield _orbit_minima(ms, linalg.digit_planes(ms, p, en), step, en // d)
 
 
 def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,14 @@ from scatpoly.linalg import (
     _residue_dtype,
     batch_dickson_rank,
     batch_rank,
+    digit_planes,
     field_nullspace,
     field_rank,
     field_rref,
+    mod_p_product,
     modp_nullspace,
     modp_rref,
+    plane_indices,
     span_indices,
     sweep_slices,
 )
@@ -180,6 +186,76 @@ def test_sweep_slices_ascending_and_doubling():
     sizes = [hi - lo for lo, hi in slices[:-1]]
     assert sizes[:9] == [256 << i for i in range(9)] and set(sizes[8:]) == {1 << 16}
     assert list(sweep_slices(100)) == [(0, 100)] and list(sweep_slices(0)) == []
+
+
+# -- the digit codec ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 1, 5), (5, 1, 4),
+                                 (13, 1, 3), (3, 2, 3)])
+@pytest.mark.parametrize("dtype", [np.int8, np.float32, np.int64])
+def test_plane_indices_inverts_digit_planes(pet, dtype):
+    p, e, t = pet
+    en, order = 2 * e * t, p ** (2 * e * t)
+    rng = np.random.default_rng(order)
+    for shape in [(), (1,), (9,), (3, 5), (2, 3, 4)]:
+        x = rng.integers(0, order, size=shape)
+        if x.size >= 2:
+            x.flat[:2] = [0, order - 1]
+        planes = digit_planes(x, p, en, dtype)
+        assert planes.shape == (en,) + shape and planes.dtype == dtype
+        # lowest digit first, as the indices encode coordinates
+        want = [[v // p ** d % p for v in x.ravel().tolist()] for d in range(en)]
+        assert planes.reshape(en, -1).tolist() == want
+        back = plane_indices(planes, p)
+        assert back.dtype == np.int64 and back.shape == shape
+        assert np.array_equal(back, x)
+
+
+@pytest.mark.parametrize("p, K", [(3, 6), (13, 36), (181, 36), (1669, 6),
+                                  (1693, 6), (4099, 6), (46337, 36)])
+def test_mod_p_product_matches_integer_product(p, K):
+    # float32 up to K*p^2 < 2^24 and float64 beyond: 6*1669^2 lies just
+    # below 2^24 and 6*1693^2 just above; no benchmark field has a
+    # product beyond it
+    rng = np.random.default_rng(p * K)
+    A = rng.integers(0, p, size=(7, K))
+    X = rng.integers(0, p, size=(K, 500))
+    A[0], X[:, 0] = p - 1, p - 1  # the largest entry, K*(p-1)^2
+    A[1], X[:, 1] = 0, 0
+    want = A @ X % p
+    for planes in (X, X.astype(np.float64), X.astype(np.int16 if p < 1 << 15 else np.int32)):
+        got = mod_p_product(A, planes, p)
+        assert got.dtype == (np.float32 if K * p * p < 1 << 24 else np.float64)
+        assert np.array_equal(got, want)
+    # extra leading axes of the planes ride along
+    stacked = mod_p_product(A, np.stack([X, X[:, ::-1]]), p)
+    assert np.array_equal(stacked, np.stack([want, want[:, ::-1]]))
+
+
+def _is_np_call(node, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy"))
+
+
+def test_only_linalg_converts_digit_arrays():
+    # index <-> digit-plane conversions and exact float products mod p live
+    # in linalg.py alone (digit_planes, plane_indices, mod_p_product): no
+    # other module of the package floors a float array or weighs digits
+    # by a power row p ** np.arange(...)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "scatpoly"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _is_np_call(node, "floor"):
+                found.append(f"{path.name}:{node.lineno} np.floor")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and _is_np_call(node.right, "arange")):
+                found.append(f"{path.name}:{node.lineno} ** np.arange")
+    assert len(list(src.glob("*.py"))) > 1 and not found, found
 
 
 def test_modp_rref_and_nullspace():

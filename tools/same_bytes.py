@@ -1,0 +1,83 @@
+"""Print one sha1 line per deterministic output of scatpoly, so that two
+source trees can be checked for byte-identical results.
+
+Run it once against each tree and compare the outputs (the last line is
+the digest of all the lines above it):
+
+    PYTHONPATH=<tree>/src python3 tools/same_bytes.py
+
+Covered: the `verify-scattered` JSON for every k at (5,3), (3,4), (3,5),
+(5,4), (3,2,3) and (13,3); `code-report` for k = 1, 2 at (5,3) and (3,4);
+`geometry` for every k coprime to n at (3,3) and (3,4); `equiv` of psi:1
+against psi:3, psi:5, pseudoregulus and lp-type at (3,3), (3,4) and
+(3,2,3); and at q = 9 `eval_all` of every psi_k and omega^j for every j.
+Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+from math import gcd
+
+import numpy as np
+
+from scatpoly import cli
+from scatpoly.fields import build_field
+from scatpoly.scattered import build_psi
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def _cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"exit={code} {_sha(out.getvalue().encode())}"
+
+
+def _field_args(pet):
+    p, e, t = pet
+    return ["--p", str(p), "--e", str(e), "--t", str(t)]
+
+
+def _lines():
+    for pet in ((5, 1, 3), (3, 1, 4), (3, 1, 5), (5, 1, 4), (3, 2, 3), (13, 1, 3)):
+        for k in range(1, 2 * pet[2]):
+            argv = ["verify-scattered", *_field_args(pet), "--k", str(k)]
+            yield " ".join(argv), _cli(argv)
+    for pet in ((5, 1, 3), (3, 1, 4)):
+        for k in (1, 2):
+            argv = ["code-report", *_field_args(pet), "--k", str(k)]
+            yield " ".join(argv), _cli(argv)
+    for pet in ((3, 1, 3), (3, 1, 4)):
+        n = 2 * pet[2]
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                argv = ["geometry", *_field_args(pet), "--k", str(k)]
+                yield " ".join(argv), _cli(argv)
+    for pet in ((3, 1, 3), (3, 1, 4), (3, 2, 3)):
+        for right in ("psi:3", "psi:5", "pseudoregulus", "lp-type"):
+            argv = ["equiv", *_field_args(pet), "--left", "psi:1", "--right", right]
+            yield " ".join(argv), _cli(argv)
+    ctx = build_field(3, 2, 3)
+    for k in range(1, ctx.n):
+        yield f"eval_all psi_{k} at (3,2,3)", _sha(build_psi(ctx, k).eval_all().tobytes())
+    js = np.arange(ctx.mult_order, dtype=np.int64)
+    yield "omega^j at (3,2,3)", _sha(ctx.vgen_power(js).tobytes())
+
+
+def main():
+    total = hashlib.sha1()
+    for name, digest in _lines():
+        line = f"{digest}  {name}"
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
+    print(f"{total.hexdigest()}  all")
+
+
+if __name__ == "__main__":
+    main()
