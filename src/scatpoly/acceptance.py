@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import build_field
 from .linpoly import LinPoly
-from . import codes, geometry, linsets, scattered
+from . import codes, geometry, linalg, linsets, scattered
 
 
 class _Run:
@@ -192,12 +192,15 @@ def _c_idealiser() -> _Run:
             continue
         xs = np.arange(ctx.order, dtype=np.int64)
         psi_x = psi.eval_vec(xs)
-        lams = xs[ctx.vfrob(xs, 2) == xs]
+        lams = xs[linalg.apply_matrix(ctx, ctx._frob_matrix(2 * ctx.e), xs) == xs]
+
+        def scale(c, ys):
+            return linalg.apply_matrix(ctx, ctx._mult_matrix(c), ys)
         run.check(f"psi(lambda*x) = lambda^q*psi(x) for all x and all "
                   f"{ctx.q ** 2} lambda in GF(q^2) at {at}",
                   len(lams) == ctx.q ** 2
-                  and all(np.array_equal(psi.eval_vec(ctx.vscale(int(lam), xs)),
-                                         ctx.vscale(ctx.frob(int(lam), 1), psi_x))
+                  and all(np.array_equal(psi.eval_vec(scale(int(lam), xs)),
+                                         scale(ctx.frob(int(lam), 1), psi_x))
                           for lam in lams))
         run.check(f"right idealiser basis is GF(q^2)-scalar maps at {at}",
                   all(not any(b.coeffs[1:])

@@ -149,7 +149,10 @@ class IdealiserReport:
     basis: Tuple[LinPoly, ...]
     dim_p: int
     dim_q: int
-    # None when the structural checks were skipped
+    # None when the structural checks were skipped. all_invertible is read
+    # off the structure constants, assuming closed and contains_identity
+    # (true of every idealiser): False when not commutative (Wedderburn),
+    # else the Berlekamp test that the algebra is a field (see idealiser)
     closed: Optional[bool]
     commutative: Optional[bool]
     all_invertible: Optional[bool]
@@ -184,6 +187,17 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     membership kernel. The right side swaps the composition order, c o phi
     being L_c phi. The closure and commutativity flags read the products
     u o v of basis elements off L_u times the basis.
+
+    all_invertible is decided on those structure constants, assuming the
+    algebra is closed and contains the identity, as every idealiser is. A
+    map of such an algebra that is invertible has its inverse in it (a
+    polynomial in the map), so every nonzero element is invertible iff the
+    algebra is a division algebra, and a finite one is a field (Wedderburn).
+    A non-commutative idealiser thus has a singular nonzero element. A
+    commutative one is a field iff its Frobenius x -> x^p, a GF(p)-linear
+    map F, has rank dim_p (no nilpotents) and F - I has rank dim_p - 1 (one
+    factor: the fixed points of a product of fields are one GF(p) per
+    factor; Berlekamp 1967).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -193,7 +207,8 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
     K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
     comp = LinPoly.right_matrix if side == "left" else LinPoly.left_matrix
-    xi = linalg.modp_nullspace(np.concatenate([K @ comp(c) % p for c in gens]), p)
+    xi = linalg.modp_nullspace(
+        np.concatenate([linalg.mod_p_product(K, comp(c), p) for c in gens]), p)
     basis = tuple(vec_poly(ctx, v) for v in xi)
     dim_p = len(xi)
 
@@ -205,24 +220,45 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
         member = linalg.modp_nullspace(xi, p)
         contains_identity = not (member @ poly_vec(ctx, ident.coeffs) % p).any()
         # C[i][:, j] holds the coordinates of basis[i] o basis[j]
-        C = np.stack([u.left_matrix() @ xi.T % p for u in basis])
+        C = np.stack([linalg.mod_p_product(u.left_matrix(), xi.T, p)
+                      for u in basis]).astype(np.int64)
         closed = not (member @ C % p).any()
         commutative = np.array_equal(C, C.transpose(2, 1, 0))
-        # every nonzero GF(p)-combination of the basis, up to the first
-        # singular one
-        for lo, hi in linalg.sweep_slices(p ** dim_p - 1):
-            idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            vecs = linalg.mod_p_product(xi.T, linalg.digit_planes(idx, p, dim_p), p)
-            coeffs = linalg.plane_indices(vecs.reshape(ctx.n, en, -1).swapaxes(0, 1), p)
-            ranks = linalg.batch_dickson_rank(ctx, coeffs)
-            if (ranks < ctx.n).any():
-                all_invertible = False
-                break
+        all_invertible = commutative and _is_field(C, xi, p)
     return IdealiserReport(side=side, basis=basis, dim_p=dim_p,
                            dim_q=dim_p // ctx.e, closed=closed,
                            commutative=commutative,
                            all_invertible=all_invertible,
                            contains_identity=contains_identity)
+
+
+def _is_field(C: np.ndarray, xi: np.ndarray, p: int) -> bool:
+    """Whether the commutative algebra with identity spanned by the rows of
+    xi is a field, C[i][:, j] being the poly_vec coordinates of
+    basis[i] o basis[j].
+
+    xi is a modp_nullspace basis, so row k is 1 at its last nonzero column
+    f_k and 0 at the other f_j: an element of the span has coordinates
+    v[f_0..f_(r-1)] over the basis, and S_i = C[i][f, :] is the matrix of
+    multiplication by basis[i]. Column i of the Frobenius matrix F is the
+    coordinates of basis[i]^p, S_i^(p-1) e_i. The products are exact in
+    int64: entries below p < 46341, summed over at most r terms."""
+    r = len(xi)
+    free = [int(np.flatnonzero(row)[-1]) for row in xi]
+    ident = np.eye(r, dtype=np.int64)
+    F = np.empty((r, r), dtype=np.int64)
+    for i, S in enumerate(C[:, free, :]):
+        acc, m = ident, p - 1
+        while m:
+            if m & 1:
+                acc = acc @ S % p
+            S = S @ S % p
+            m >>= 1
+        F[:, i] = acc[:, i]
+
+    def rank(A):
+        return len(linalg.modp_rref(A, p)[1])
+    return rank(F) == r and rank(F - ident) == r - 1
 
 
 # -- the counting statement ------------------------------------------------------

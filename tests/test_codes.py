@@ -16,7 +16,7 @@ from scatpoly.codes import (
     min_rank_distance,
     rank_distribution,
 )
-from scatpoly.linpoly import LinPoly
+from scatpoly.linpoly import LinPoly, poly_vec
 from scatpoly.scattered import build_psi, theorem_predicate
 
 
@@ -208,12 +208,16 @@ def test_idealisers_need_no_tables(pet, bare_field):
     ctx, bare = build_field(*pet), bare_field(*pet)
     for k in range(1, ctx.n):
         for side in ("left", "right"):
-            # at q = 9 the flags enumerate up to 3^12 elements on the left,
-            # and 3^24 on both sides of psi_t(x) = x^(q^t)
-            flags = ctx.q < 9 or (side == "right" and k != ctx.t)
-            want = idealiser(build_code(build_psi(ctx, k)), side, flags)
-            got = idealiser(build_code(build_psi(bare, k)), side, flags)
+            want = idealiser(build_code(build_psi(ctx, k)), side)
+            got = idealiser(build_code(build_psi(bare, k)), side)
             assert got.to_json() == want.to_json()
+            if ctx.q == 9 and k in (1, 5):
+                # scattered, as t is odd, gcd(k, 2t) = 1 and q = 1 (mod 4):
+                # the code is MRD, so both idealisers are fields (LTZ 2017)
+                assert got.is_field is True
+            if ctx.q == 9 and k == ctx.t and side == "left":
+                # x + x^(q^t) lies in the code of psi_t(x) = x^(q^t)
+                assert got.all_invertible is False
     assert not bare.has_tables
 
 
@@ -247,19 +251,75 @@ def test_idealiser_flags_on_a_large_idealiser(ctx53):
     assert rep.all_invertible is False and rep.is_field is False
 
 
-def test_idealiser_flags_span_several_slabs(monkeypatch):
+def _all_invertible_by_enumeration(rep):
+    """Whether every nonzero GF(p)-combination of the idealiser's basis has
+    full Dickson rank, by ranking all p^dim_p - 1 of them, slab by slab, up
+    to the first singular one."""
+    ctx = rep.basis[0].ctx
+    p, en = ctx.p, ctx.en
+    xi = poly_vec(ctx, [b.coeffs for b in rep.basis])
+    for lo, hi in linalg.sweep_slices(p ** rep.dim_p - 1):
+        idx = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        vecs = linalg.mod_p_product(xi.T, linalg.digit_planes(idx, p, rep.dim_p), p)
+        coeffs = linalg.plane_indices(vecs.reshape(ctx.n, en, -1).swapaxes(0, 1), p)
+        if (linalg.batch_dickson_rank(ctx, coeffs) < ctx.n).any():
+            return False
+    return True
+
+
+def _flag_maps(ctx, rng):
+    """Every psi_k; sparse random maps; maps with coefficients in GF(p^d),
+    omega^(j*s) with s = (p^(e*n) - 1)/(p^d - 1), for every d | e*n;
+    x + x^(q^t), x^(q^t), 0, id and a nilpotent map."""
+    maps = [build_psi(ctx, k) for k in range(1, ctx.n)]
+    for _ in range(4):
+        coeffs = [0] * ctx.n
+        for i in rng.choice(ctx.n, size=2, replace=False):
+            coeffs[int(i)] = int(rng.integers(1, ctx.order))
+        maps.append(LinPoly(ctx, coeffs))
+    for d in range(1, ctx.en + 1):
+        if ctx.en % d == 0:
+            s = ctx.mult_order // (ctx.p ** d - 1)
+            js = rng.integers(0, ctx.p ** d - 1, size=ctx.n)
+            maps.append(LinPoly(ctx, [ctx.gen_power(int(j) * s) for j in js]))
+    frob_t = LinPoly.monomial(ctx, 1, ctx.t)
+    ident = LinPoly.identity(ctx)
+    # k*(x - x^(q^t)) with k^(q^t) = -k squares to 0, and so does its
+    # conjugate by id + c*Tr(x), Tr(c) = 0 (whose inverse is id - c*Tr(x)):
+    # a nilpotent map whose right idealiser has nilpotents
+    k = next(k for k in range(1, ctx.order) if ctx.frob(k, ctx.t) == ctx.neg(k))
+    tr = LinPoly(ctx, [1] * ctx.n)
+    trace = tr.scale(next(c for c in range(2, ctx.order) if tr(c) == 0))
+    f = LinPoly.monomial(ctx, k, 0) - LinPoly.monomial(ctx, k, ctx.t)
+    nil = (ident + trace).compose(f).compose(ident - trace)
+    assert nil.compose(nil).is_zero()
+    return maps + [ident + frob_t, frob_t, LinPoly.zero(ctx), ident, nil]
+
+
+def test_all_invertible_matches_the_enumeration():
+    # the flag is read off the structure constants; the enumeration ranks
+    # every nonzero element. Among the idealisers compared are commutative
+    # non-fields, both split (the right idealiser of psi_1 at q = 3, 7 with
+    # t = 3: its code is not MRD) and with nilpotents (that of the nilpotent
+    # map), and non-commutative ones (x^(q^t) spans its own)
+    kinds = set()
+    for pet in ((3, 1, 3), (5, 1, 3), (3, 1, 4), (7, 1, 3)):
+        ctx = build_field(*pet)
+        for f in _flag_maps(ctx, np.random.default_rng(ctx.order)):
+            for side in ("left", "right"):
+                rep = idealiser(build_code(f), side)
+                assert rep.closed and rep.contains_identity
+                if ctx.p ** rep.dim_p <= 1 << 21:  # enumerable
+                    assert rep.all_invertible == _all_invertible_by_enumeration(rep), (f, side)
+                    kinds.add((rep.commutative, rep.all_invertible))
+    assert (True, False) in kinds and (False, False) in kinds
+
+
+def test_idealiser_field_flag_at_5_4_matches_the_enumeration():
     # psi_1 at (5, 4) is scattered, so its code is MRD and the left
-    # idealiser is a field (Lunardon-Trombetti-Zhou 2017): all 5^8 - 1
-    # nonzero elements are invertible, ranked at most 2^16 at a time
-    sizes = []
-    rank = linalg.batch_dickson_rank
-
-    def counted(ctx, cols, *args, **kwargs):
-        sizes.append(cols.shape[1])
-        return rank(ctx, cols, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "batch_dickson_rank", counted)
+    # idealiser is a field (Lunardon-Trombetti-Zhou 2017); the enumeration
+    # ranks all 5^8 - 1 nonzero elements, in several slabs
     ctx = build_field(5, 1, 4)
     rep = idealiser(build_code(build_psi(ctx, 1)), "left")
     assert rep.all_invertible is True and rep.is_field is True
-    assert sum(sizes) == ctx.p ** rep.dim_p - 1 and max(sizes) <= 1 << 16
+    assert _all_invertible_by_enumeration(rep) is True

@@ -10,7 +10,10 @@ Covered: the `verify-scattered` JSON for every k at (5,3), (3,4), (3,5),
 (5,4), (3,2,3) and (13,3); `code-report` for k = 1, 2 at (5,3) and (3,4);
 `geometry` for every k coprime to n at (3,3) and (3,4); `equiv` of psi:1
 against psi:3, psi:5, pseudoregulus and lp-type at (3,3), (3,4) and
-(3,2,3); and at q = 9 `eval_all` of every psi_k and omega^j for every j.
+(3,2,3); at q = 9 `eval_all` of every psi_k and omega^j for every j, and
+`code-report` for k = 1, 2 at (3,2,3); and the idealiser JSON, with its
+field flags, of both sides for every k at (3,3). New outputs go at the
+end, so a prefix of the lines keeps its digest as the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
 """
 
@@ -19,11 +22,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 from math import gcd
 
 import numpy as np
 
-from scatpoly import cli
+from scatpoly import cli, codes
 from scatpoly.fields import build_field
 from scatpoly.scattered import build_psi
 
@@ -68,6 +72,15 @@ def _lines():
         yield f"eval_all psi_{k} at (3,2,3)", _sha(build_psi(ctx, k).eval_all().tobytes())
     js = np.arange(ctx.mult_order, dtype=np.int64)
     yield "omega^j at (3,2,3)", _sha(ctx.vgen_power(js).tobytes())
+    for k in (1, 2):
+        argv = ["code-report", *_field_args((3, 2, 3)), "--k", str(k)]
+        yield " ".join(argv), _cli(argv)
+    ctx = build_field(3, 1, 3)
+    for k in range(1, ctx.n):
+        for side in ("left", "right"):
+            rep = codes.idealiser(codes.build_code(build_psi(ctx, k)), side)
+            yield (f"idealiser {side} psi_{k} at (3,3)",
+                   _sha(json.dumps(rep.to_json(), sort_keys=True).encode()))
 
 
 def main():
