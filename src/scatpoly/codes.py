@@ -185,8 +185,15 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     the code. In poly_vec coordinates phi o c is R_c phi, so each c
     contributes the block K R_c of linear conditions, K being the code's
     membership kernel. The right side swaps the composition order, c o phi
-    being L_c phi. The closure and commutativity flags read the products
-    u o v of basis elements off L_u times the basis.
+    being L_c phi, and needs two blocks only: every codeword is
+    c = lam*f + mu*id, so c o phi = lam*(f o phi) + mu*phi, and the code is
+    closed under lam*. So c o phi lies in the code for every c iff f o phi
+    and phi do, and the right side stacks K L_f and K L_id. phi o (lam*c)
+    has no such reduction, so the left side stacks every K R_c. The
+    nullspace depends only on the row space of the stack, read off its
+    unique reduced echelon form, so either stack gives the same basis. The
+    closure and commutativity flags read the products u o v of basis
+    elements off L_u times the basis.
 
     all_invertible is decided on those structure constants, assuming the
     algebra is closed and contains the identity, as every idealiser is. A
@@ -206,9 +213,12 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     ident = LinPoly.identity(ctx)
     gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
     K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
-    comp = LinPoly.right_matrix if side == "left" else LinPoly.left_matrix
+    if side == "left":
+        blocks = [c.right_matrix() for c in gens]
+    else:
+        blocks = [code.f.left_matrix(), ident.left_matrix()]
     xi = linalg.modp_nullspace(
-        np.concatenate([linalg.mod_p_product(K, comp(c), p) for c in gens]), p)
+        np.concatenate([linalg.mod_p_product(K, B, p) for B in blocks]), p)
     basis = tuple(vec_poly(ctx, v) for v in xi)
     dim_p = len(xi)
 

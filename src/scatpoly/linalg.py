@@ -301,25 +301,40 @@ def field_nullspace(ctx, rows):
 
 
 def modp_rref(mat: np.ndarray, p: int):
-    R = np.array(mat, dtype=np.int64, copy=True) % p
+    """The reduced row echelon form of mat mod p: (rows, pivot_cols), rows
+    an int64 array of the nonzero rows in pivot order. The form is unique,
+    so neither the choice of pivot rows nor their order in mat changes it;
+    a 0-row input gives a 0-row result and no pivots. The input is not
+    modified.
+
+    Gauss-Jordan without row swaps: at column j the first free row that is
+    nonzero there becomes the pivot row. Every free row is zero before j,
+    so only the columns from j onward are scaled, and only the rows that
+    are nonzero at j are updated there."""
+    R = np.asarray(mat, dtype=np.int64) % p
     nrows, ncols = R.shape
-    pivots = []
-    r = 0
+    free = np.ones(nrows, dtype=bool)
+    rows, pivots = [], []
     for j in range(ncols):
-        nz = np.nonzero(R[r:, j])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        R[[r, piv]] = R[[piv, r]]
-        R[r] = R[r] * pow(int(R[r, j]), p - 2, p) % p
-        others = np.nonzero(R[:, j])[0]
-        others = others[others != r]
-        R[others] = (R[others] - np.outer(R[others, j], R[r])) % p
-        pivots.append(j)
-        r += 1
-        if r == nrows:
+        if len(rows) == nrows:
             break
-    return R[:r], pivots
+        nz = R[:, j] != 0
+        r = int((nz & free).argmax())
+        if not (nz[r] and free[r]):
+            continue
+        row = R[r, j:]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        nz[r] = free[r] = False
+        others = np.flatnonzero(nz)
+        if others.size:
+            sub = R[others, j:]
+            sub -= np.outer(sub[:, 0], row)
+            sub %= p
+            R[others, j:] = sub
+        rows.append(r)
+        pivots.append(j)
+    return R[rows], pivots
 
 
 def modp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -328,7 +343,7 @@ def modp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     beyond f_k. For the kernel of a GF(p)-matrix on digit vectors, row 0 is
     thus the smallest nonzero element, and span_indices(basis.T, p) lists
     the kernel ascending."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    mat = np.atleast_2d(mat)
     R, pivots = modp_rref(mat, p)
     free = [j for j in range(mat.shape[1]) if j not in pivots]
     basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)

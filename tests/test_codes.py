@@ -16,7 +16,7 @@ from scatpoly.codes import (
     min_rank_distance,
     rank_distribution,
 )
-from scatpoly.linpoly import LinPoly, poly_vec
+from scatpoly.linpoly import LinPoly, poly_vec, vec_poly
 from scatpoly.scattered import build_psi, theorem_predicate
 
 
@@ -294,6 +294,31 @@ def _flag_maps(ctx, rng):
     nil = (ident + trace).compose(f).compose(ident - trace)
     assert nil.compose(nil).is_zero()
     return maps + [ident + frob_t, frob_t, LinPoly.zero(ctx), ident, nil]
+
+
+def _right_idealiser_by_every_block(code):
+    """The right idealiser's basis from the full system: the block K L_c
+    for every c = p^d * f and p^d * id of the code's GF(p)-basis, in int64
+    products."""
+    ctx = code.ctx
+    p = ctx.p
+    ident = LinPoly.identity(ctx)
+    gens = [g.scale(p ** d) for d in range(ctx.en) for g in (code.f, ident)]
+    K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
+    A = np.concatenate([K @ c.left_matrix().astype(np.int64) % p for c in gens])
+    assert len(A) == 2 * ctx.en * len(K)
+    return [list(vec_poly(ctx, v).coeffs) for v in linalg.modp_nullspace(A, p)]
+
+
+@pytest.mark.parametrize("pet", [(5, 1, 3), (3, 1, 4), (3, 2, 3)])
+def test_right_idealiser_matches_the_full_system(pet):
+    # the solve stacks K L_f and K L_id only; every K L_c must give the
+    # same basis, as the code is spanned by lam*f and lam*id
+    ctx = build_field(*pet)
+    for f in _flag_maps(ctx, np.random.default_rng(ctx.order + 1)):
+        rep = idealiser(build_code(f), "right")
+        assert [list(b.coeffs) for b in rep.basis] == _right_idealiser_by_every_block(
+            build_code(f)), f
 
 
 def test_all_invertible_matches_the_enumeration():

@@ -270,6 +270,64 @@ def test_modp_rref_and_nullspace():
     assert modp_nullspace(eye, 3).shape[0] == 0
 
 
+def _textbook_rref(mat, p):
+    """The reduced row echelon form by textbook elimination in Python ints:
+    at each column, swap the first nonzero row at or below the current one
+    up, scale it to a leading 1 and clear the column in every other row."""
+    R = [[int(x) % p for x in row] for row in mat]
+    ncols = np.shape(mat)[1]
+    pivots, r = [], 0
+    for j in range(ncols):
+        piv = next((i for i in range(r, len(R)) if R[i][j]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = pow(R[r][j], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][j]:
+                c = R[i][j]
+                R[i] = [(x - c * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(j)
+        r += 1
+    return R[:r], pivots
+
+
+def _rref_cases(p, rng):
+    """Empty, zero, tall, wide, square and low-rank matrices mod p, some
+    with entries outside 0..p-1."""
+    yield np.zeros((0, 5), dtype=np.int64)
+    yield np.zeros((4, 0), dtype=np.int64)
+    yield np.zeros((0, 0), dtype=np.int64)
+    yield np.zeros((5, 7), dtype=np.int64)
+    for shape in ((300, 20), (20, 300), (12, 12), (1, 9), (9, 1), (40, 16)):
+        yield rng.integers(0, p, size=shape)
+    yield rng.integers(-2 * p, 2 * p, size=(30, 10))
+    # sparse: most entries zero, so pivots skip columns
+    yield rng.integers(0, p, size=(25, 18)) * (rng.random((25, 18)) < 0.1)
+    for m, k, n in ((300, 3, 20), (40, 7, 60), (16, 1, 16), (50, 11, 12)):
+        yield rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n)) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 46337])
+def test_modp_rref_matches_textbook_elimination(p):
+    rng = np.random.default_rng(p)
+    for mat in _rref_cases(p, rng):
+        before = mat.copy()
+        red, piv = modp_rref(mat, p)
+        want, want_piv = _textbook_rref(mat, p)
+        assert piv == want_piv, mat.shape
+        assert red.dtype == np.int64 and red.shape == (len(want), mat.shape[1])
+        assert red.tolist() == want
+        assert np.array_equal(mat, before)
+        ns = modp_nullspace(mat, p)
+        assert ns.shape == (mat.shape[1] - len(piv), mat.shape[1])
+        assert not (mat % p @ ns.T % p).any()
+        # the form is unique: a row permutation of the input keeps it
+        shuffled, piv2 = modp_rref(mat[rng.permutation(len(mat))], p)
+        assert piv2 == piv and np.array_equal(shuffled, red)
+
+
 # -- kernels of GF(p)-matrices on field elements ---------------------------------
 
 

@@ -11,9 +11,11 @@ Covered: the `verify-scattered` JSON for every k at (5,3), (3,4), (3,5),
 `geometry` for every k coprime to n at (3,3) and (3,4); `equiv` of psi:1
 against psi:3, psi:5, pseudoregulus and lp-type at (3,3), (3,4) and
 (3,2,3); at q = 9 `eval_all` of every psi_k and omega^j for every j, and
-`code-report` for k = 1, 2 at (3,2,3); and the idealiser JSON, with its
-field flags, of both sides for every k at (3,3). New outputs go at the
-end, so a prefix of the lines keeps its digest as the list grows.
+`code-report` for k = 1, 2 at (3,2,3); the idealiser JSON, with its
+field flags, of both sides for every k at (3,3); then the same for every
+k at (5,3) and (3,2,3), and for x^(q^t) and two seeded sparse maps at
+(3,4). New outputs go at the end, so a prefix of the lines keeps its
+digest as the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
 """
 
@@ -29,6 +31,7 @@ import numpy as np
 
 from scatpoly import cli, codes
 from scatpoly.fields import build_field
+from scatpoly.linpoly import LinPoly
 from scatpoly.scattered import build_psi
 
 
@@ -78,9 +81,29 @@ def _lines():
     ctx = build_field(3, 1, 3)
     for k in range(1, ctx.n):
         for side in ("left", "right"):
-            rep = codes.idealiser(codes.build_code(build_psi(ctx, k)), side)
-            yield (f"idealiser {side} psi_{k} at (3,3)",
-                   _sha(json.dumps(rep.to_json(), sort_keys=True).encode()))
+            yield _idealiser_line(build_psi(ctx, k), side, f"psi_{k} at (3,3)")
+    for name, pet in (("(5,3)", (5, 1, 3)), ("(3,2,3)", (3, 2, 3))):
+        ctx = build_field(*pet)
+        for k in range(1, ctx.n):
+            for side in ("left", "right"):
+                yield _idealiser_line(build_psi(ctx, k), side, f"psi_{k} at {name}")
+    ctx = build_field(3, 1, 4)
+    rng = np.random.default_rng(34)
+    maps = {"x^(q^t)": LinPoly.monomial(ctx, 1, ctx.t)}
+    for _ in range(2):
+        coeffs = [0] * ctx.n
+        for slot in rng.choice(ctx.n, size=2, replace=False):
+            coeffs[int(slot)] = int(rng.integers(1, ctx.order))
+        maps[f"sparse map {coeffs}"] = LinPoly(ctx, coeffs)
+    for label, f in maps.items():
+        for side in ("left", "right"):
+            yield _idealiser_line(f, side, f"{label} at (3,4)")
+
+
+def _idealiser_line(f, side, label):
+    rep = codes.idealiser(codes.build_code(f), side)
+    return (f"idealiser {side} {label}",
+            _sha(json.dumps(rep.to_json(), sort_keys=True).encode()))
 
 
 def main():
