@@ -14,6 +14,11 @@ Only FieldCtx reads the tables: the scalar fast paths, the eight v-kernels
 (vadd, vneg, vsub, vmul, vscale, vinv, vfrob, vpow_int), and vgen_power
 and vlog, through which every other module gets omega^j and discrete logs.
 
+FieldCtx.frobenius_orbits is the one orbit driver of the sweeps: slice by
+slice, the smallest element of each orbit of x -> x^(p^d) on the field or
+on the classes omega^j*GF(q)*, with its orbit's size, computed without
+tables and kept on the context.
+
 The tables are four int64 arrays, 32 bytes per element. They are built
 by doubling on the digit planes of omega^j, each step one exact GF(p)
 product (linalg.mod_p_product, which states why it is exact). Building them
@@ -34,7 +39,7 @@ import sympy
 
 from .errors import (BadParams, EvenP, FieldTooLarge, NonPrimeP,
                      ReducibleModulus, TSmall)
-from .linalg import digit_planes, mod_p_product, plane_indices
+from .linalg import digit_planes, mod_p_product, plane_indices, sweep_slices
 
 TABLE_LIMIT = 1 << 26
 EAGER_LIMIT = 1 << 20  # built at construction up to here: about 0.1 s, and fast scalars
@@ -158,6 +163,31 @@ def _undigits(digs, p: int) -> int:
     return out
 
 
+def _orbit_minima(xs: np.ndarray, state, step, length: int):
+    """(reps, sizes): the entries x of xs with x <= step^i(x) for every
+    0 < i < length, each the smallest of its orbit when step^length is the
+    identity, and the sizes of their orbits, the first i > 0 with
+    step^i(x) = x. state holds xs in the coordinates step acts on, one
+    column per entry on its last axis; step(state) returns the state of
+    the images and their values, which may be the state itself. An entry
+    leaves the batch at the first image below it, so the later steps act
+    on a shrinking remainder.
+
+    An orbit's size s divides length, and step^i(x) = x exactly when s
+    divides i, so the last such i below length is length - s (or none,
+    when s = length), and s = gcd(that i, length). The sizes are int8,
+    as length is at most e*n."""
+    sizes = np.full(len(xs), length, dtype=np.int8)
+    for i in range(1, length):
+        state, y = step(state)
+        keep = xs <= y
+        y_is_state = y is state
+        xs, sizes, state = xs[keep], sizes[keep], state[..., keep]
+        y = state if y_is_state else y[keep]
+        sizes[y == xs] = i
+    return xs, np.gcd(sizes, length)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -210,6 +240,7 @@ class FieldCtx:
         self._ppow = [p**i for i in range(self.en + 1)]
         self._mod_list = list(self.modulus)
         self._frob_mats: dict = {}
+        self._orbits: dict = {}
         self._action = None
 
         self.omega = self._find_generator()
@@ -324,6 +355,57 @@ class FieldCtx:
                                      @ self._frob_matrix(self.e * i) % p
                                      for i in range(self.n) for d in range(en)])
         return self._action
+
+    def frobenius_orbits(self, space: str, d: int):
+        """Yield (reps, sizes) for each slice of linalg.sweep_slices over a
+        space that sigma_d: x -> x^(p^d) permutes, d dividing e*n: the
+        entries of the slice that are the smallest of their orbit,
+        ascending, and the sizes of those orbits (_orbit_minima).
+
+        "shifts" is the field, index order, and sigma_d acts on the
+        digit planes of a slice by its GF(p) matrix (an exact
+        linalg.mod_p_product), with no table read. "classes" is
+        j in [0, R), R = (q^n - 1)/(q - 1), standing for omega^j*GF(q)*:
+        sigma_d maps that class onto the class of j*p^d mod R, taken in
+        int64 with a floor-division reduction. That is exact on [0, R):
+        R = 1 mod p, so multiplication by p^d permutes the residues mod
+        R, and p^(e*n) = 1 mod R. In both spaces e*n/d steps give the
+        identity, so d = e*n keeps everything.
+
+        The output depends on the field and d alone, so each slice is
+        filtered once per field, when a sweep first reaches it, and kept
+        read-only on the context under (space, d, slice), as the
+        Frobenius matrices are; a sweep that stops early fills only the
+        slices it reached."""
+        p, en = self.p, self.en
+        if d < 1 or en % d:
+            raise BadParams(f"d = {d} must divide e*n = {en}")
+        if space == "shifts":
+            total = self.order
+            F = self._frob_matrix(d)
+
+            def step(planes):
+                planes = mod_p_product(F, planes, p)
+                return planes, plane_indices(planes, p)
+        elif space == "classes":
+            total = R = self.mult_order // (self.q - 1)
+            g = pow(p, d, R)
+
+            def step(js):
+                js = js * g
+                js -= js // R * R
+                return js, js
+        else:
+            raise BadParams(f"unknown orbit space {space!r}, expected 'shifts' or 'classes'")
+        for lo, hi in sweep_slices(total):
+            key = (space, d, lo, hi)
+            if key not in self._orbits:
+                xs = np.arange(lo, hi, dtype=np.int64)
+                state = digit_planes(xs, p, en) if space == "shifts" else xs
+                reps, sizes = _orbit_minima(xs, state, step, en // d)
+                reps.flags.writeable = sizes.flags.writeable = False
+                self._orbits[key] = reps, sizes
+            yield self._orbits[key]
 
     # -- representation ----------------------------------------------------
 
@@ -530,11 +612,8 @@ class FieldCtx:
                                 f"elements (field has {self.order})")
 
     def vgen_power(self, js) -> np.ndarray:
-        """omega^j for an int64 array of exponents j (taken mod q^n - 1),
-        or for a slice of them, which returns a view of the table."""
+        """omega^j for an int64 array of exponents j (taken mod q^n - 1)."""
         self._need_tables()
-        if isinstance(js, slice):
-            return self._exp[js]
         return self._exp[np.mod(js, self.mult_order)]
 
     def vlog(self, a: np.ndarray) -> np.ndarray:

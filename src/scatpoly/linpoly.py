@@ -14,9 +14,10 @@ from . import linalg
 
 
 class LinPoly:
-    """Immutable q-polynomial bound to a field context."""
+    """Immutable q-polynomial bound to a field context. Its GF(p)-matrix
+    and coefficient degree are computed on first use and kept."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_matrix", "_degree")
 
     def __init__(self, ctx, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -27,6 +28,8 @@ class LinPoly:
                 raise ValueError(f"coefficient {c} out of range")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_degree", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LinPoly is immutable")
@@ -86,10 +89,12 @@ class LinPoly:
     def coeff_degree(self) -> int:
         """The smallest d dividing e*n with every coefficient in GF(p^d),
         that is with frob_twist(d) == self. x -> x^(p^d) then commutes
-        with f."""
-        en = self.ctx.en
-        return next(d for d in range(1, en + 1)
-                    if en % d == 0 and self.frob_twist(d) == self)
+        with f. Kept after the first call."""
+        if self._degree is None:
+            en = self.ctx.en
+            object.__setattr__(self, "_degree", next(
+                d for d in range(1, en + 1) if en % d == 0 and self.frob_twist(d) == self))
+        return self._degree
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -114,10 +119,15 @@ class LinPoly:
 
     def matrix(self) -> np.ndarray:
         """A_f, the (e*n, e*n) GF(p)-matrix of f on digit vectors: column d
-        holds the base-p digits of f(p^d)."""
-        ctx = self.ctx
-        return np.array([ctx.digits(self(ctx.p ** d)) for d in range(ctx.en)],
-                        dtype=np.int64).T
+        holds the base-p digits of f(p^d). Built on the first call and
+        kept, read-only."""
+        if self._matrix is None:
+            ctx = self.ctx
+            A = np.array([ctx.digits(self(ctx.p ** d)) for d in range(ctx.en)],
+                         dtype=np.int64).T
+            A.flags.writeable = False
+            object.__setattr__(self, "_matrix", A)
+        return self._matrix
 
     def eval_all(self) -> np.ndarray:
         """f(x) for every x in index order, by eval_vec; reads no tables."""
@@ -129,28 +139,64 @@ class LinPoly:
 
         f is GF(q)-linear, so f(lam*x)/(lam*x) = f(x)/x for lam in GF(q)*,
         and GF(q)* is generated by omega^R, R = (q^n - 1)/(q - 1): every
-        fiber is a union of orbits x*GF(q)*, each with one representative
-        omega^j, j < R. So f is evaluated at those R elements only, by A_f
-        on their digit planes. At x = omega^j the bin is
-        log f(x) - j mod (q^n - 1), and q^n - 1 where f(x) = 0, which keeps
-        the kernel apart. occupied holds the distinct bins in ascending
-        order, the kernel's last, and sizes the sizes of their fibers, q - 1
-        times their numbers of representatives. The fiber of the value v is
-        ker(A_f - M_v) minus 0."""
+        fiber is a union of classes x*GF(q)*, each with one representative
+        omega^j, j < R. At x = omega^j the bin is log f(x) - j mod
+        M = q^n - 1, and M where f(x) = 0, which keeps the kernel apart.
+
+        sigma_d: x -> x^(p^d), d = coeff_degree(), commutes with f, so
+        f(sigma_d(x))/sigma_d(x) = (f(x)/x)^(p^d): the class of
+        j*p^(d*i) mod R has the bin b*p^(d*i) mod M when the class of j
+        has the bin b, and the kernel's bin M stays M. So f is evaluated,
+        by A_f on the digit planes, only at the orbit representatives that
+        FieldCtx.frobenius_orbits yields over the classes (filtered once per
+        field and d), and each representative's bin b is expanded to
+        b*p^(d*i) mod M for i below its orbit's size. The orbits partition
+        the classes, so the expanded bins are the multiset of a pass over
+        every class. They are sorted in place and cut where they change:
+        occupied holds the distinct bins in ascending order, the kernel's
+        last, and sizes the sizes of their fibers, q - 1 times their
+        numbers of classes. The fiber of the value v is ker(A_f - M_v)
+        minus 0."""
         ctx = self.ctx
         ctx._need_whole_field(tables=True)
         M = ctx.mult_order
         R = M // (ctx.q - 1)
         A = self.matrix()
+        d = self.coeff_degree()
+        js, sizes = map(np.concatenate, zip(*ctx.frobenius_orbits("classes", d)))
+        fx = linalg.apply_matrix(ctx, A, ctx.vgen_power(js))
+        b = ctx.vlog(fx) - js
+        np.add(b, M, out=b, where=b < 0)
+        kernel = fx == 0
+        del js, fx
+        # the kernel's classes take the top of bins, and the orbits of the
+        # other representatives are expanded below them, image i of every
+        # orbit longer than i at a time
         bins = np.empty(R, dtype=np.int64)
-        for lo in range(0, R, linalg.SLICE):
-            b = bins[lo:lo + linalg.SLICE]
-            fx = linalg.apply_matrix(ctx, A, ctx.vgen_power(slice(lo, lo + len(b))))
-            np.subtract(ctx.vlog(fx), np.arange(lo, lo + len(b)), out=b)
-            np.add(b, M, out=b, where=b < 0)
-            b[fx == 0] = M
-        occupied, reps = np.unique(bins, return_counts=True)
-        return occupied, reps * (ctx.q - 1)
+        bins[R - int(sizes[kernel].sum()):] = M
+        b, sizes = b[~kernel], sizes[~kernel]
+        lo = 0
+        for i in range(ctx.en // d):
+            if i:
+                longer = sizes > i
+                b, sizes = b[longer], sizes[longer]
+            img = bins[lo:lo + len(b)]
+            np.multiply(b, pow(ctx.p, d * i, M), out=img)
+            img -= img // M * M
+            lo += len(b)
+        bins.sort()
+        change = np.empty(R, dtype=bool)
+        change[0] = True
+        np.not_equal(bins[1:], bins[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        del change
+        occupied = bins[starts]
+        del bins
+        counts = np.empty(len(starts), dtype=np.int64)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = R - starts[-1]
+        counts *= ctx.q - 1
+        return occupied, counts
 
     def line_values(self) -> np.ndarray:
         """Sorted distinct values of f(x)/x over nonzero x."""

@@ -148,13 +148,20 @@ def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
 
     That map at lam*x, lam in GF(q)*, is lam times the map at x, and x and
     lam*x give the same point, so x runs over the GF(q)*-orbit
-    representatives omega^j, j < (q^n - 1)/(q - 1), only; each matrix is
-    the digit contraction of x against one inclusion tensor."""
+    representatives omega^j, j < R = (q^n - 1)/(q - 1), only; each matrix
+    is the digit contraction of x against one inclusion tensor.
+
+    sigma_d: x -> x^(p^d), d = lcm of the coefficient degrees of f and g,
+    commutes with both maps, so the map at sigma_d(x) is sigma_d composed
+    with the map at x and sigma_d^-1 on Y, and is singular with it. So j
+    runs only over the representatives of the sigma_d-orbits of the
+    classes (FieldCtx.frobenius_orbits); a boolean needs no ordering."""
     f._check(g)
     ctx = f.ctx
     T = _inclusion_tensor(f, g)
-    for lo, hi in linalg.sweep_slices(ctx.mult_order // (ctx.q - 1)):
-        if np.any(linalg.digit_dickson_ranks(ctx, T, ctx.vgen_power(slice(lo, hi))) == ctx.n):
+    d = math.lcm(f.coeff_degree(), g.coeff_degree())
+    for js, _ in ctx.frobenius_orbits("classes", d):
+        if np.any(linalg.digit_dickson_ranks(ctx, T, ctx.vgen_power(js)) == ctx.n):
             return False
     return True
 

@@ -147,7 +147,8 @@ def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
 
 def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
     """Ranks of f + m*id for every shift m in ms (all field elements when
-    ms is None), as GF(p)-matrices A_f + M_m, linalg.SLICE at a time."""
+    ms is None), as GF(p)-matrices A_f + M_m, linalg.SLICE at a time; A_f
+    is built once per map (LinPoly.matrix)."""
     ctx = f.ctx
     if ms is None:
         ctx._need_whole_field()
@@ -159,49 +160,20 @@ def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _orbit_minima(xs: np.ndarray, state: np.ndarray, step, length: int):
-    """(reps, sizes): the entries x of xs with x <= step^i(x) for every
-    0 < i < length, each the smallest of its orbit when step^length is the
-    identity, and the sizes of their orbits, the first i > 0 with
-    step^i(x) = x. state holds xs in the coordinates step acts on, one
-    column per entry on its last axis; step(state) returns the state of
-    the images and their values. An entry leaves the batch at the first
-    image below it, so the later steps act on a shrinking remainder."""
-    sizes = np.full(len(xs), length, dtype=np.int64)
-    for i in range(1, length):
-        state, y = step(state)
-        keep = xs <= y
-        xs, y, sizes, state = xs[keep], y[keep], sizes[keep], state[..., keep]
-        sizes[(y == xs) & (sizes == length)] = i
-    return xs, sizes
-
-
 def shift_orbits(f: LinPoly):
     """Yield (ms, sizes) for each ascending slice of the field
     (linalg.sweep_slices): the shifts m of the slice that are the smallest
-    of their sigma_d-orbit, ascending, and the sizes of those orbits.
+    of their sigma_d-orbit, ascending, and the sizes of those orbits
+    (FieldCtx.frobenius_orbits over the shifts).
 
     sigma_d is x -> x^(p^d), d = f.coeff_degree(), so it commutes with f:
     sigma_d(f(x) + m*x) = f(sigma_d(x)) + sigma_d(m)*sigma_d(x), and
     sigma_d maps ker(f + m*id) onto ker(f + sigma_d(m)*id). The rank of
-    f + m*id is therefore constant on each orbit. The images are taken in
-    digit space, by the GF(p) digit matrix of sigma_d on the digit planes
-    of the slice (an exact linalg.mod_p_product), with no table read.
-    e*n/d steps give the identity, and a map with d = e*n keeps every
-    shift."""
-    ctx = f.ctx
-    ctx._need_whole_field()
-    p, en = ctx.p, ctx.en
-    d = f.coeff_degree()
-    F = ctx._frob_matrix(d)
-
-    def step(planes):
-        planes = linalg.mod_p_product(F, planes, p)
-        return planes, linalg.plane_indices(planes, p)
-
-    for lo, hi in linalg.sweep_slices(ctx.order):
-        ms = np.arange(lo, hi, dtype=np.int64)
-        yield _orbit_minima(ms, linalg.digit_planes(ms, p, en), step, en // d)
+    f + m*id is therefore constant on each orbit. The orbits depend on
+    the field and d only, so each slice is filtered once per field and
+    then read from the context's memo by every map with the same d."""
+    f.ctx._need_whole_field()
+    yield from f.ctx.frobenius_orbits("shifts", f.coeff_degree())
 
 
 def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
@@ -253,25 +225,18 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
 
     sigma_d: x -> x^(p^d), d = f.coeff_degree(), commutes with f, so
     C_(sigma_d(rho))(sigma_d(x)) = sigma_d(C_rho(x)): rho and sigma_d(rho)
-    = omega^(j*p^d) hit together. So j is swept only when
-    j <= j*p^(d*i) mod R for every i < e*n/d. That is exact on [1, R):
-    R = 1 mod p, so multiplication by p^d permutes the nonzero residues
-    mod R, and p^(e*n) = 1 mod R. The smallest hit is the smallest of its
-    orbit, so the sweep returns the same pair as one over every j."""
+    = omega^(j*p^d) hit together. So j runs over the representatives of
+    the sigma_d-orbits of the classes j in [0, R) that
+    FieldCtx.frobenius_orbits yields, j = 0 (rho in GF(q)) skipped. The
+    smallest hit is the smallest of its orbit, so the sweep returns the
+    same pair as one over every j. The driver filters a slice only when
+    the sweep first reaches it and keeps it on the context, so a sweep
+    that hits early filters little, and a later fiber pass, witness
+    search or inclusion test with the same d reads the kept slices."""
     ctx = f.ctx
-    R = ctx.mult_order // (ctx.q - 1)
-    d = f.coeff_degree()
-    g = pow(ctx.p, d, R)
-
-    def step(j):
-        j = j * g % R
-        return j, j
-
     T = _commutator_tensor(f)
-    for lo, hi in linalg.sweep_slices(R - 1):
-        js = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        js, _ = _orbit_minima(js, js, step, ctx.en // d)
-        rhos = ctx.vgen_power(js)
+    for js, _ in ctx.frobenius_orbits("classes", f.coeff_degree()):
+        rhos = ctx.vgen_power(js[js > 0])
         hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < ctx.n)
         if len(hit):
             rho = int(rhos[hit[0]])

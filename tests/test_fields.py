@@ -10,8 +10,11 @@ from scatpoly.codes import build_code, idealiser
 from scatpoly.errors import BadParams, EvenP, FieldTooLarge, NonPrimeP, ReducibleModulus, TSmall
 from scatpoly.fields import (FieldCtx, FieldSpec, _SLICE, build_field, is_irreducible,
                              smallest_irreducible)
+from scatpoly.linalg import sweep_slices
+from scatpoly.linpoly import LinPoly
 from scatpoly.linsets import subspace_equivalent, valid_u2_deltas
-from scatpoly.scattered import build_psi, is_scattered_fibers, is_scattered_ranks
+from scatpoly.scattered import (build_psi, is_scattered_fibers, is_scattered_ranks,
+                                nonscattered_witness_search)
 
 
 def test_parameter_validation():
@@ -326,7 +329,6 @@ def test_table_reads(ctx33, ctx923, bare_field):
         assert got.tolist() == [ctx.gen_power(int(j)) for j in js]
         assert np.array_equal(bare.vlog(got), js)
         assert np.array_equal(bare.vgen_power(js - M), got)
-        assert np.array_equal(bare.vgen_power(slice(5, 300)), ctx.vgen_power(np.arange(5, 300)))
         assert np.array_equal(bare.vlog(np.array([0, 1])), [-1, 0])
 
 
@@ -382,3 +384,97 @@ def test_table_build_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 64 * ctx.order, (key, peak / ctx.order)
+
+
+# -- Frobenius orbits ----------------------------------------------------------------
+
+def _walk_orbits(perm):
+    """(reps, sizes) of the permutation perm, a list, by walking each orbit
+    from its first unvisited element: every smaller element's orbit has
+    been walked, so that element is its orbit's minimum."""
+    seen = bytearray(len(perm))
+    reps, sizes = [], []
+    for x in range(len(perm)):
+        if seen[x]:
+            continue
+        y, size = x, 0
+        while not seen[y]:
+            seen[y] = 1
+            y = perm[y]
+            size += 1
+        reps.append(x)
+        sizes.append(size)
+    return reps, sizes
+
+
+def _orbit_perm(ctx, space, d):
+    """sigma_d: x -> x^(p^d) on the space, as a list: on the field by the log
+    tables, on the classes j in [0, R) of omega^j*GF(q)* by j*p^d mod R."""
+    if space == "shifts":
+        return ctx.vpow_int(np.arange(ctx.order, dtype=np.int64), ctx.p ** d).tolist()
+    R = ctx.mult_order // (ctx.q - 1)
+    return [j * ctx.p ** d % R for j in range(R)]
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+def test_frobenius_orbits_match_walked_orbits(pet):
+    ctx = build_field(*pet)
+    for space in ("shifts", "classes"):
+        total = ctx.order if space == "shifts" else ctx.mult_order // (ctx.q - 1)
+        for d in (d for d in range(1, ctx.en + 1) if ctx.en % d == 0):
+            perm = _orbit_perm(ctx, space, d)
+            want_reps, want_sizes = _walk_orbits(perm)
+            slices = list(ctx.frobenius_orbits(space, d))
+            assert len(slices) == len(list(sweep_slices(total)))
+            for (lo, hi), (reps, sizes) in zip(sweep_slices(total), slices):
+                assert ((lo <= reps) & (reps < hi)).all()
+                assert not reps.flags.writeable and not sizes.flags.writeable
+            reps, sizes = map(np.concatenate, zip(*slices))
+            # ascending, each its orbit's minimum with its orbit's size, and
+            # the orbits cover the space
+            assert (np.diff(reps) > 0).all()
+            assert reps.tolist() == want_reps and sizes.tolist() == want_sizes
+            assert sizes.sum() == total and ((ctx.en // d) % sizes == 0).all()
+            perm, image = np.array(perm), reps
+            for _ in range(ctx.en // d - 1):
+                image = perm[image]
+                assert (image >= reps).all()
+
+
+def test_frobenius_orbits_rejects_bad_arguments(ctx33):
+    ctx = ctx33
+    for space, d in (("classes", 4), ("shifts", 0), ("points", 1)):
+        with pytest.raises(BadParams):
+            next(ctx.frobenius_orbits(space, d))
+
+
+def test_orbit_memo_matches_a_fresh_context(bare_field):
+    # psi_2 at (5, 3) is not scattered: the rank checker and the witness
+    # search stop at their first slice and fill only the slices they reached
+    ctx = bare_field(5, 1, 3)
+    f = build_psi(ctx, 2)
+    assert not is_scattered_ranks(f).scattered
+    assert nonscattered_witness_search(f) is not None
+    for space, total in (("shifts", ctx.order), ("classes", ctx.mult_order // 4)):
+        filled = [key for key in ctx._orbits if key[:2] == (space, 1)]
+        assert 0 < len(filled) < len(list(sweep_slices(total)))
+    # then full sweeps with d = 1 and d = 3 on the same context; a map with
+    # coefficients in GF(5^3) has coefficient degree 3
+    g = LinPoly(ctx, [0, ctx.gen_power(ctx.mult_order // 124), 0, 1, 0, 0])
+    assert g.coeff_degree() == 3
+    for space in ("shifts", "classes"):
+        for d in (1, 3):
+            got = list(ctx.frobenius_orbits(space, d))
+            want = list(bare_field(5, 1, 3).frobenius_orbits(space, d))
+            assert len(got) == len(want)
+            for (r1, s1), (r2, s2) in zip(got, want):
+                assert np.array_equal(r1, r2) and np.array_equal(s1, s2)
+            # a second sweep reads the kept slices
+            again = list(ctx.frobenius_orbits(space, d))
+            assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(again, got))
+    for h in (f, g):
+        other = LinPoly(bare_field(5, 1, 3), h.coeffs)
+        for a, b in zip(h._fibers(), other._fibers()):
+            assert np.array_equal(a, b)
+        assert is_scattered_ranks(h) == is_scattered_ranks(other)
+        assert nonscattered_witness_search(h) == nonscattered_witness_search(other)

@@ -27,6 +27,20 @@ def test_constructor_validation(ctx33):
         f.coeffs = ()
 
 
+def test_matrix_and_coeff_degree_are_kept(ctx33):
+    # built on the first call and returned as the same read-only array;
+    # equal maps compare equal whatever they have computed
+    f = build_psi(ctx33, 1)
+    A = f.matrix()
+    assert f.matrix() is A and not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1
+    assert np.array_equal(A, LinPoly(ctx33, f.coeffs).matrix())
+    assert f.coeff_degree() == 1 and f == LinPoly(ctx33, f.coeffs)
+    with pytest.raises(AttributeError):
+        f._matrix = None
+
+
 def test_ctx_mismatch(ctx33, ctx53):
     with pytest.raises(CtxMismatch):
         LinPoly.identity(ctx33) + LinPoly.identity(ctx53)

@@ -147,20 +147,66 @@ def test_valid_u2_deltas(ctx33):
         assert ctx.pow_(int(d), step) != 1
 
 
-def test_inclusion_dickson_matches_set_oracle(ctx33):
-    ctx = ctx33
+def _values_by_division(f):
+    """The distinct values of f(x)/x over every nonzero x, by the vector
+    kernels: an oracle for the linear set with no orbit reduction."""
+    ctx = f.ctx
+    xs = np.arange(1, ctx.order, dtype=np.int64)
+    return np.unique(ctx.vmul(f.eval_all()[1:], ctx.vinv(xs)))
+
+
+def test_inclusion_dickson_matches_set_oracle(ctx33, ctx923):
+    for ctx in (ctx33, ctx923):
+        psi = build_psi(ctx, 1)
+        pairs = [
+            (psi, psi),
+            (psi, psi.adjoint()),            # equal linear sets
+            (psi, known_family(ctx, "u1", s=1)),
+            (known_family(ctx, "u1", s=1), psi),
+            (known_family(ctx, "u1", s=1), known_family(ctx, "u1", s=5)),
+            (psi, build_psi(ctx, 2)),
+        ]
+        if ctx.e > 1:
+            # coefficients in GF(p^2) and GF(p^3), proper subfields of
+            # GF(3^12): the sweep runs over the orbits of x -> x^(p^d),
+            # d = 2, 3 and 6
+            sub2 = ctx.gen_power(ctx.mult_order // (ctx.p ** 2 - 1))
+            sub3 = ctx.gen_power(ctx.mult_order // (ctx.p ** 3 - 1))
+            f2 = LinPoly(ctx, [0, sub2, 0, 0, 1, 0])
+            f3 = LinPoly(ctx, [0, 1, 0, sub3, 0, 0])
+            assert (f2.coeff_degree(), f3.coeff_degree()) == (2, 3)
+            pairs += [(f2, f2.adjoint()), (f2, psi), (psi, f2), (f2, f3), (f3, f2),
+                      (f3, f3.adjoint())]
+        for f, g in pairs:
+            oracle = bool(np.isin(_values_by_division(f), _values_by_division(g)).all())
+            assert inclusion_dickson(f, g) == oracle
+
+
+def test_inclusion_sweep_covers_every_class_up_to_a_common_symmetry(ctx923, monkeypatch):
+    # with every rank recorded and reported below n, the sweep runs to its
+    # end; the classes of the x it ranked, closed under x -> x^(p^d) with
+    # d the lcm of the two coefficient degrees, must be every class, as
+    # only that map is known to commute with both
+    ctx = ctx923
+    R = ctx.mult_order // (ctx.q - 1)
     psi = build_psi(ctx, 1)
-    pairs = [
-        (psi, psi),
-        (psi, psi.adjoint()),            # equal linear sets
-        (psi, known_family(ctx, "u1", s=1)),
-        (known_family(ctx, "u1", s=1), psi),
-        (known_family(ctx, "u1", s=1), known_family(ctx, "u1", s=5)),
-        (psi, build_psi(ctx, 2)),
-    ]
-    for f, g in pairs:
-        oracle = bool(np.isin(linear_set(f), linear_set(g)).all())
-        assert inclusion_dickson(f, g) == oracle
+    f2 = LinPoly(ctx, [0, ctx.gen_power(ctx.mult_order // (ctx.p ** 2 - 1)), 0, 0, 1, 0])
+    f3 = LinPoly(ctx, [0, 1, 0, ctx.gen_power(ctx.mult_order // (ctx.p ** 3 - 1)), 0, 0])
+    swept = []
+
+    def record(ctx_, T, xs):
+        swept.append(np.array(xs))
+        return np.zeros(len(xs), dtype=np.int64)
+
+    monkeypatch.setattr(linalg, "digit_dickson_ranks", record)
+    for f, g, d in ((psi, f2, 2), (f2, psi, 2), (f2, f3, 6), (f3, psi, 3)):
+        swept.clear()
+        assert inclusion_dickson(f, g)
+        js = ctx.vlog(np.concatenate(swept)) % R
+        covered = np.zeros(R, dtype=bool)
+        for i in range(ctx.en // d):
+            covered[js * pow(ctx.p, d * i, R) % R] = True
+        assert covered.all()
 
 
 def _draw_map(data, ctx):

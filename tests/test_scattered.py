@@ -344,7 +344,7 @@ def _full_field_fibers(f):
     return bins, np.bincount(bins, minlength=M + 1)
 
 
-@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3), (3, 1, 4)])
 @settings(max_examples=15)
 @given(data=st.data())
 def test_orbit_fiber_pass_matches_full_field_pass(pet, data):

@@ -14,8 +14,11 @@ against psi:3, psi:5, pseudoregulus and lp-type at (3,3), (3,4) and
 `code-report` for k = 1, 2 at (3,2,3); the idealiser JSON, with its
 field flags, of both sides for every k at (3,3); then the same for every
 k at (5,3) and (3,2,3), and for x^(q^t) and two seeded sparse maps at
-(3,4). New outputs go at the end, so a prefix of the lines keeps its
-digest as the list grows.
+(3,4); then `line_values` and `fiber_histogram` of every psi_k at (5,3),
+(3,4) and (3,2,3), the same with the three verdicts of a map with
+coefficients in GF(p^2) and GF(p^4) at (3,2,3), and the Baer JSON for
+k = 1, 5 at (5,3) and (13,3). New outputs go at the end, so a prefix of
+the lines keeps its digest as the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
 """
 
@@ -32,7 +35,8 @@ import numpy as np
 from scatpoly import cli, codes
 from scatpoly.fields import build_field
 from scatpoly.linpoly import LinPoly
-from scatpoly.scattered import build_psi
+from scatpoly.scattered import (baer_partition_check, build_psi, is_scattered_fibers,
+                                is_scattered_ranks, nonscattered_witness_search)
 
 
 def _sha(data: bytes) -> str:
@@ -98,6 +102,32 @@ def _lines():
     for label, f in maps.items():
         for side in ("left", "right"):
             yield _idealiser_line(f, side, f"{label} at (3,4)")
+    for name, pet in (("(5,3)", (5, 1, 3)), ("(3,4)", (3, 1, 4)), ("(3,2,3)", (3, 2, 3))):
+        ctx = build_field(*pet)
+        for k in range(1, ctx.n):
+            yield from _fiber_lines(build_psi(ctx, k), f"psi_{k} at {name}")
+    # coefficients in GF(3^2) and GF(3^4): x -> x^9 commutes with the map
+    ctx = build_field(3, 2, 3)
+    f = LinPoly(ctx, [0, ctx.gen_power(ctx.mult_order // 8), 0,
+                      ctx.gen_power(ctx.mult_order // 80 * 7), 1, 0])
+    label = f"subfield map {list(f.coeffs)} at (3,2,3)"
+    yield from _fiber_lines(f, label)
+    for check in (is_scattered_fibers, is_scattered_ranks):
+        yield f"{check.__name__} {label}", _json_sha(check(f).to_json())
+    yield f"nonscattered_witness_search {label}", _json_sha(nonscattered_witness_search(f))
+    for name, pet in (("(5,3)", (5, 1, 3)), ("(13,3)", (13, 1, 3))):
+        for k in (1, 5):
+            yield (f"baer psi_{k} at {name}",
+                   _json_sha(baer_partition_check(build_field(*pet), k).to_json()))
+
+
+def _fiber_lines(f, label):
+    yield f"line_values {label}", _sha(f.line_values().tobytes())
+    yield f"fiber_histogram {label}", _json_sha(sorted(f.fiber_histogram().items()))
+
+
+def _json_sha(obj) -> str:
+    return _sha(json.dumps(obj, sort_keys=True).encode())
 
 
 def _idealiser_line(f, side, label):
