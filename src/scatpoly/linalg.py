@@ -97,34 +97,45 @@ def _residue_dtype(p: int):
 def _modp_ranks(A: np.ndarray, p: int) -> np.ndarray:
     """Ranks mod p of a stack A[i, j, b] of residues; A is overwritten.
 
-    Lockstep forward elimination with the batch on the last axis. Read
-    A[:, j, b] as the vectors of matrix b: step i picks in every matrix at
-    once the first unused vector with a nonzero coordinate i as the pivot,
-    and subtracts multiples of it from the other vectors to clear their
-    coordinate i, touching only the coordinates after i. A matrix with no
-    pivot at step i gets zero multipliers, so no matrix leaves the batch.
-    Rank is invariant under transposition, so either index may be the row.
+    Lockstep forward elimination. Read A[:, j, b] as the vectors of
+    matrix b: step i picks in every matrix at once the first vector with
+    a nonzero coordinate i as the pivot, and subtracts multiples of it
+    from every vector to clear their coordinate i, touching only the
+    coordinates after i. The pivot's own multiplier is 1, so it becomes
+    zero after i and is never picked again; vectors picked before are
+    zero at i and get multiplier 0. Rank is invariant under
+    transposition, so either index may be the row.
+
+    The pivot is found without leaving the batch axis: every vector that
+    is nonzero at i weighs nJ - j, the others 0, so piv = nJ - max over j
+    is the first such j, and nJ when matrix b has no pivot at step i. The
+    one-hot mask sel = (j == piv), all False without a pivot, reads the
+    pivot's value and vector as sums of products with sel. A matrix with
+    no pivot thus gets zero multipliers (inv[0] = 0), so no matrix leaves
+    the batch.
+
+    The batch stays on the last, contiguous axis so that every operation
+    of a step, the reductions over j included, runs elementwise along
+    rows of B entries, which numpy vectorizes; an argmax over the strided
+    j axis and gathers at (piv[b], b) do not.
     """
     nI, nJ, B = A.shape
     inv = _inverses(p)
     rank = np.zeros(B, dtype=np.int64)
     if nJ == 0:
         return rank
-    free = np.ones((nJ, B), dtype=bool)
-    ball = np.arange(B)
+    j = np.arange(nJ, dtype=np.min_scalar_type(nJ))[:, None]
+    weight = nJ - j
     for i in range(nI):
         row = A[i]
-        elig = free & (row != 0)
-        piv = elig.argmax(axis=0)
-        has = elig[piv, ball]
-        free[piv[has], ball[has]] = False
-        rank += has
+        piv = nJ - ((row != 0) * weight).max(axis=0)
+        rank += piv < nJ
         if i + 1 == nI:
             break
-        # vectors already used as pivots get garbage updates; they are never read again
-        fac = _reduce(row * inv[np.where(has, row[piv, ball], 0)], p)
+        sel = j == piv
+        fac = _reduce(row * inv[(row * sel).sum(0, dtype=A.dtype)], p)
         rest = A[i + 1:]
-        rest -= rest[:, piv, ball][:, None, :] * fac[None]
+        rest -= (rest * sel).sum(1, dtype=A.dtype)[:, None, :] * fac[None]
         _reduce(rest, p)
     return rank
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scatpoly.errors import BadParams
 from scatpoly.fields import build_field
 from scatpoly.linalg import (
+    _modp_ranks,
     _residue_dtype,
     batch_dickson_rank,
     batch_rank,
@@ -307,6 +308,61 @@ def _rref_cases(p, rng):
     yield rng.integers(0, p, size=(25, 18)) * (rng.random((25, 18)) < 0.1)
     for m, k, n in ((300, 3, 20), (40, 7, 60), (16, 1, 16), (50, 11, 12)):
         yield rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n)) % p
+
+
+def _full_rank(p, rng, nI, nJ):
+    """A random nI x nJ matrix mod p of rank min(nI, nJ), by rejection."""
+    while True:
+        M = rng.integers(0, p, size=(nI, nJ))
+        if len(modp_rref(M, p)[1]) == min(nI, nJ):
+            return M
+
+
+def _rank_members(p, rng, nI, nJ):
+    """Members for one batch of the rank kernel: zero, full-rank, sparse,
+    random and low-rank matrices, some with a zero coordinate-0 row (no
+    pivot at step 0) and some with vectors planted as combinations of
+    others."""
+    yield np.zeros((nI, nJ), dtype=np.int64)
+    for _ in range(3):
+        yield _full_rank(p, rng, nI, nJ)
+    for _ in range(4):
+        M = rng.integers(0, p, size=(nI, nJ))
+        yield M
+        M = M * (rng.random((nI, nJ)) < 0.2)
+        yield M
+        M = M.copy()
+        M[0] = 0
+        yield M
+    for k in range(1, min(nI, nJ)):
+        yield rng.integers(0, p, size=(nI, k)) @ rng.integers(0, p, size=(k, nJ)) % p
+    if nJ > 1:
+        for _ in range(3):
+            # vectors A[:, j] for j in dep are combinations of the others
+            M = rng.integers(0, p, size=(nI, nJ))
+            dep = rng.choice(nJ, size=max(1, nJ // 3), replace=False)
+            others = np.setdiff1d(np.arange(nJ), dep)
+            M[:, dep] = M[:, others] @ rng.integers(0, p, size=(len(others), len(dep))) % p
+            yield M
+
+
+@pytest.mark.parametrize("p", [3, 13, 181, 191])
+def test_modp_ranks_matches_modp_rref(p):
+    dtype = _residue_dtype(p)
+    rng = np.random.default_rng(p)
+    for nI, nJ in ((6, 9), (9, 6), (8, 8), (1, 5), (5, 1), (1, 1), (12, 12)):
+        members = list(_rank_members(p, rng, nI, nJ))
+        A = np.stack(members, axis=2).astype(dtype)
+        # step 0 has a pivot in some members and none in others
+        has0 = (A[0] != 0).any(axis=0)
+        assert has0.any() and not has0.all()
+        want = [len(modp_rref(A[:, :, b], p)[1]) for b in range(A.shape[2])]
+        assert want[0] == 0 and want[1:4] == [min(nI, nJ)] * 3
+        got = _modp_ranks(A.copy(), p)
+        assert got.dtype == np.int64 and got.tolist() == want, (nI, nJ)
+    for shape in ((4, 6, 0), (0, 6, 5), (4, 0, 5), (0, 0, 3)):
+        got = _modp_ranks(np.zeros(shape, dtype=dtype), p)
+        assert got.dtype == np.int64 and got.tolist() == [0] * shape[2]
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 46337])

@@ -17,8 +17,11 @@ k at (5,3) and (3,2,3), and for x^(q^t) and two seeded sparse maps at
 (3,4); then `line_values` and `fiber_histogram` of every psi_k at (5,3),
 (3,4) and (3,2,3), the same with the three verdicts of a map with
 coefficients in GF(p^2) and GF(p^4) at (3,2,3), and the Baer JSON for
-k = 1, 5 at (5,3) and (13,3). New outputs go at the end, so a prefix of
-the lines keeps its digest as the list grows.
+k = 1, 5 at (5,3) and (13,3); then, for every psi_k at (5,3), (3,4) and
+(3,5), every rank the batched kernel returns: the ranks of f + m*id over
+every shift m, and of C_rho over every class rho = omega^j, 0 < j < R,
+R = (q^n - 1)/(q - 1). New outputs go at the end, so a prefix of the
+lines keeps its digest as the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
 """
 
@@ -32,11 +35,12 @@ from math import gcd
 
 import numpy as np
 
-from scatpoly import cli, codes
+from scatpoly import cli, codes, linalg
 from scatpoly.fields import build_field
 from scatpoly.linpoly import LinPoly
-from scatpoly.scattered import (baer_partition_check, build_psi, is_scattered_fibers,
-                                is_scattered_ranks, nonscattered_witness_search)
+from scatpoly.scattered import (_commutator_tensor, baer_partition_check, build_psi,
+                                is_scattered_fibers, is_scattered_ranks,
+                                nonscattered_witness_search, shift_ranks)
 
 
 def _sha(data: bytes) -> str:
@@ -119,6 +123,14 @@ def _lines():
         for k in (1, 5):
             yield (f"baer psi_{k} at {name}",
                    _json_sha(baer_partition_check(build_field(*pet), k).to_json()))
+    for name, pet in (("(5,3)", (5, 1, 3)), ("(3,4)", (3, 1, 4)), ("(3,5)", (3, 1, 5))):
+        ctx = build_field(*pet)
+        rhos = ctx.vgen_power(np.arange(1, ctx.mult_order // (ctx.q - 1)))
+        for k in range(1, ctx.n):
+            f = build_psi(ctx, k)
+            yield f"shift_ranks psi_{k} at {name}", _sha(shift_ranks(f).tobytes())
+            ranks = linalg.digit_dickson_ranks(ctx, _commutator_tensor(f), rhos)
+            yield f"class ranks psi_{k} at {name}", _sha(ranks.tobytes())
 
 
 def _fiber_lines(f, label):
