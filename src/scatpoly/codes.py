@@ -184,14 +184,17 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     idealiser iff phi o c stays in the code for every c in a GF(p)-basis of
     the code. In poly_vec coordinates phi o c is R_c phi, so each c
     contributes the block K R_c of linear conditions, K being the code's
-    membership kernel. The right side swaps the composition order, c o phi
-    being L_c phi, and needs two blocks only: every codeword is
-    c = lam*f + mu*id, so c o phi = lam*(f o phi) + mu*phi, and the code is
-    closed under lam*. So c o phi lies in the code for every c iff f o phi
-    and phi do, and the right side stacks K L_f and K L_id. phi o (lam*c)
-    has no such reduction, so the left side stacks every K R_c. The
-    nullspace depends only on the row space of the stack, read off its
-    unique reduced echelon form, so either stack gives the same basis. The
+    membership kernel. phi is GF(q)-linear, so phi o (lam*c) = lam*(phi o c)
+    for lam in GF(q), and the code is closed under lam*: the left side
+    needs only the 2n blocks of the GF(q)-basis {x^d f, x^d id : d < n}
+    (x^d, of index p^d, for d < n are a GF(q)-basis of GF(q^n)). The right
+    side swaps the composition order, c o phi being L_c phi, and needs two
+    blocks only: every codeword is c = lam*f + mu*id, so
+    c o phi = lam*(f o phi) + mu*phi, and the code is closed under lam*.
+    So c o phi lies in the code for every c iff f o phi and phi do, and
+    the right side stacks K L_f and K L_id. The nullspace depends only on
+    the row space of the stack, read off its unique reduced echelon form,
+    so any stack with the same solutions gives the same basis. The
     closure and commutativity flags read the products u o v of basis
     elements off L_u times the basis.
 
@@ -214,7 +217,7 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
     K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
     if side == "left":
-        blocks = [c.right_matrix() for c in gens]
+        blocks = [c.right_matrix() for c in gens[:2 * ctx.n]]
     else:
         blocks = [code.f.left_matrix(), ident.left_matrix()]
     xi = linalg.modp_nullspace(
@@ -258,13 +261,7 @@ def _is_field(C: np.ndarray, xi: np.ndarray, p: int) -> bool:
     ident = np.eye(r, dtype=np.int64)
     F = np.empty((r, r), dtype=np.int64)
     for i, S in enumerate(C[:, free, :]):
-        acc, m = ident, p - 1
-        while m:
-            if m & 1:
-                acc = acc @ S % p
-            S = S @ S % p
-            m >>= 1
-        F[:, i] = acc[:, i]
+        F[:, i] = linalg.modp_power(S, p - 1, p)[:, i]
 
     def rank(A):
         return len(linalg.modp_rref(A, p)[1])

@@ -7,8 +7,14 @@ prime-field scalars.
 
 Fields up to 2^26 elements get full discrete-log tables (exp, log, Zech,
 q-Frobenius) for the vectorized numpy kernels, built on first use (up to
-2^20 elements, at construction); scalar operations without them use
-polynomial-basis arithmetic with precomputed Frobenius matrices.
+2^20 elements, at construction). Without them, arithmetic runs on one
+representation, the GF(p) matrices on digit vectors: FieldCtx.x_powers
+holds M_(x^d), the powers of the modulus's companion matrix, for
+d < e*n; M_a is the digit contraction of a against it, and products,
+powers and inverses are products of such matrices. The p-Frobenius
+matrix is read off the same stack, and its powers, kept on the context,
+are the other Frobenius maps. Fields have at most 2^63 elements, so
+indices fit int64.
 
 Only FieldCtx reads the tables: the scalar fast paths, the eight v-kernels
 (vadd, vneg, vsub, vmul, vscale, vinv, vfrob, vpow_int), and vgen_power
@@ -39,7 +45,8 @@ import sympy
 
 from .errors import (BadParams, EvenP, FieldTooLarge, NonPrimeP,
                      ReducibleModulus, TSmall)
-from .linalg import digit_planes, mod_p_product, plane_indices, sweep_slices
+from .linalg import (digit_planes, mod_p_product, modp_power, modp_rref, plane_indices,
+                     sweep_slices)
 
 TABLE_LIMIT = 1 << 26
 EAGER_LIMIT = 1 << 20  # built at construction up to here: about 0.1 s, and fast scalars
@@ -49,57 +56,51 @@ _CTX_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] helpers on little-endian coefficient lists
+# GF(p)[x]/(f) as GF(p) matrices on little-endian digit vectors
 
 
-def _trim(poly):
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
+def _x_powers(coeffs, p) -> np.ndarray:
+    """(m, m, m) read-only stack of the powers of the companion matrix C of
+    a monic f of degree m, little-endian coefficients coeffs: slot d is
+    C^d = M_(x^d), the matrix of y -> x^d * y on the digits of
+    GF(p)[x]/(f), so column i of slot d holds the digits of x^(d+i) mod f.
+    M_a is the digit contraction of a against the stack."""
+    m = len(coeffs) - 1
+    C = np.eye(m, k=-1, dtype=np.int64)  # x * x^i = x^(i+1) for i < m - 1
+    C[:, -1] = -np.asarray(coeffs[:m], dtype=np.int64) % p  # x^m = -(f - x^m)
+    X = np.empty((m, m, m), dtype=np.int64)
+    X[0] = np.eye(m, dtype=np.int64)
+    for d in range(1, m):
+        X[d] = C @ X[d - 1] % p
+    X.flags.writeable = False
+    return X
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+def _contract(digs, X: np.ndarray, p: int) -> np.ndarray:
+    """M_a = sum_d digs[d] * X[d] mod p, a having the digits digs and X
+    being an _x_powers stack."""
+    m = len(X)
+    return (np.dot(digs, X.reshape(m, m * m)) % p).reshape(m, m)
 
 
-def _poly_mod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        a = _trim(a)
-        if len(a) - 1 < dm:
-            break
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, m in enumerate(mod):
-            a[shift + i] = (a[shift + i] - coef * m) % p
-        a = _trim(a)
-    return a
-
-
-def _sub_shifted(a, c, shift, b, p):
-    """a - c * x^shift * b over GF(p)."""
-    out = list(a) + [0] * (shift + len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[shift + i] = (out[shift + i] - c * bi) % p
-    return _trim(out)
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
+def _frobenius_matrix(X: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of y -> y^p on digit vectors, X being an _x_powers stack:
+    column i holds the digits of x^(i*p) = (M_x^p)^i * 1, M_x = X[1]."""
+    P = modp_power(X[1], p, p)
+    F = np.empty(X.shape[1:], dtype=np.int64)
+    col = X[0][:, 0]
+    for i in range(len(X)):
+        F[:, i] = col
+        col = P @ col % p
+    return F
 
 
 def is_irreducible(coeffs, p) -> bool:
-    """Rabin test for a monic polynomial over GF(p), little-endian coeffs."""
+    """Rabin's test for a monic polynomial f over GF(p), little-endian
+    coefficients, on the matrices of GF(p)[x]/(f): f of degree m is
+    irreducible iff x^(p^m) = x there and, for every prime r | m,
+    g = x^(p^(m/r)) - x is prime to f, that is M_g has full rank. The
+    powers x^(p^k) are the Frobenius matrix applied k times to x."""
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
@@ -107,29 +108,18 @@ def is_irreducible(coeffs, p) -> bool:
         return True
     if coeffs[0] == 0:
         return False  # divisible by x
-
-    def xq_pow(k):
-        # x^(p^k) mod f by square and multiply
-        e = pow(p, k)
-        base = [0, 1]
-        acc = [1]
-        while e:
-            if e & 1:
-                acc = _poly_mod(_poly_mul(acc, base, p), coeffs, p)
-            base = _poly_mod(_poly_mul(base, base, p), coeffs, p)
-            e >>= 1
-        return acc
-
-    def minus_x(poly):
-        d = list(poly) + [0] * (2 - len(poly))
-        d[1] = (d[1] - 1) % p
-        return _trim(d)
-
-    if minus_x(xq_pow(m)):
-        return False  # x^(p^m) != x mod f
-    for r in sorted(int(f) for f in sympy.primefactors(m)):
-        d = minus_x(xq_pow(m // r))
-        if not d or len(_poly_gcd(coeffs, d, p)) - 1 != 0:
+    if m * p * p >= 1 << 63:
+        raise BadParams(f"p = {p} at degree {m} overflows the int64 products")
+    X = _x_powers(coeffs, p)
+    F = _frobenius_matrix(X, p)
+    images = [X[1][:, 0]]  # the digits of x^(p^k), k = 0..m
+    for _ in range(m):
+        images.append(F @ images[-1] % p)
+    if not np.array_equal(images[m], images[0]):
+        return False
+    for r in sympy.primefactors(m):
+        g = (images[m // r] - images[0]) % p
+        if len(modp_rref(_contract(g, X, p), p)[1]) < m:
             return False
     return True
 
@@ -219,7 +209,9 @@ class FieldCtx:
     Do not construct directly; use build_field so validation and caching
     apply. Scalar operations take and return plain ints. Vector operations
     (v-prefixed) take numpy int64 arrays of element indices and build the
-    tables on first use; has_tables tells whether they are built.
+    tables on first use; has_tables tells whether they are built. x_powers
+    is the read-only stack of M_(x^d), d < e*n, that every table-free
+    operation reads.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -237,8 +229,7 @@ class FieldCtx:
         self.spec = FieldSpec(p, e, t, self.modulus)
         self.has_tables = False
 
-        self._ppow = [p**i for i in range(self.en + 1)]
-        self._mod_list = list(self.modulus)
+        self.x_powers = _x_powers(self.modulus, p)
         self._frob_mats: dict = {}
         self._orbits: dict = {}
         self._action = None
@@ -258,19 +249,13 @@ class FieldCtx:
         of the squares for the bits of m applied to the digits of 1."""
         p, en, M = self.p, self.en, self.mult_order
         prime_parts = [M // r for r in sorted(sympy.factorint(M))]
-        # M_(x^d), the matrix of y -> x^d * y, for every digit position d
-        X = self._mult_matrix(p)
-        basis = [np.eye(en, dtype=np.int64)]
-        for _ in range(en - 1):
-            basis.append(X @ basis[-1] % p)
-        basis = np.stack(basis)
-        one = basis[0, :, 0]
+        one = self.x_powers[0, :, 0]
         lo, size = 2, 16
         while lo < self.order:
             cand = np.arange(lo, min(lo + size, self.order), dtype=np.int64)
             lo, size = lo + size, min(2 * size, 256)
             digs = digit_planes(cand, p, en, np.int64)
-            squares = [np.einsum("db,drc->brc", digs, basis) % p]
+            squares = [np.einsum("db,drc->brc", digs, self.x_powers) % p]
             for _ in range(M.bit_length() - 1):
                 squares.append(squares[-1] @ squares[-1] % p)
             ok = np.ones(len(cand), dtype=bool)
@@ -333,27 +318,19 @@ class FieldCtx:
         self.has_tables = True
 
     def _mult_matrix(self, a: int) -> np.ndarray:
-        """Matrix of y -> a*y on GF(p) digit vectors."""
-        p, en = self.p, self.en
-        cols = np.zeros((en, en), dtype=np.int64)
-        cur = self.digits(a)
-        for j in range(en):
-            cols[:, j] = cur
-            cur = [0] + cur
-            cur = _poly_mod(cur, self._mod_list, p)
-            cur = list(cur) + [0] * (en - len(cur))
-        return cols
+        """Matrix M_a of y -> a*y on GF(p) digit vectors: the digit
+        contraction of a against x_powers."""
+        return _contract(self.digits(a), self.x_powers, self.p)
 
     def action_tensor(self) -> np.ndarray:
         """(n*e*n, e*n, e*n) stack whose slot i*e*n + d is the matrix of
-        y -> x^d * y^(q^i) on GF(p) digit vectors; a q-polynomial's matrix
-        is the sum of the slots weighted by the digits of its coefficients.
-        Built on first use and kept."""
+        y -> x^d * y^(q^i) on GF(p) digit vectors, x_powers[d] times the
+        q^i-Frobenius matrix; a q-polynomial's matrix is the sum of the
+        slots weighted by the digits of its coefficients. Built on first
+        use and kept."""
         if self._action is None:
-            p, en = self.p, self.en
-            self._action = np.stack([self._mult_matrix(self._ppow[d])
-                                     @ self._frob_matrix(self.e * i) % p
-                                     for i in range(self.n) for d in range(en)])
+            self._action = np.concatenate([self.x_powers @ self._frob_matrix(self.e * i)
+                                           % self.p for i in range(self.n)])
         return self._action
 
     def frobenius_orbits(self, space: str, d: int):
@@ -492,50 +469,25 @@ class FieldCtx:
         digs = self._frob_matrix(j) @ np.array(self.digits(a), dtype=np.int64) % self.p
         return self.from_digits(digs)
 
-    # -- no-table fallbacks ------------------------------------------------
+    # -- no-table arithmetic: products of the matrices M_a -------------------
 
     def _mul_nt(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.digits(a), self.digits(b), self.p)
-        return self.from_digits(_poly_mod(prod, self._mod_list, self.p))
+        return self.from_digits(self._mult_matrix(a) @ self.digits(b) % self.p)
 
     def _pow_nt(self, a: int, m: int) -> int:
-        acc, base = 1, a
-        while m:
-            if m & 1:
-                acc = self._mul_nt(acc, base)
-            base = self._mul_nt(base, base)
-            m >>= 1
-        return acc
+        # column 0 of M_a^m = M_(a^m) holds the digits of a^m * 1
+        return self.from_digits(modp_power(self._mult_matrix(a), m, self.p)[:, 0])
 
     def _inv_nt(self, a: int) -> int:
-        # extended Euclid in GF(p)[x] against the modulus, keeping
-        # s_i * a = r_i mod the modulus for both rows; the modulus is
-        # irreducible and a != 0, so r ends at a nonzero constant
-        p = self.p
-        r0, s0 = list(self._mod_list), []
-        r1, s1 = _trim(self.digits(a)), [1]
-        while len(r1) > 1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(r0) >= len(r1):
-                c = r0[-1] * inv_lead % p
-                shift = len(r0) - len(r1)
-                r0 = _sub_shifted(r0, c, shift, r1, p)
-                s0 = _sub_shifted(s0, c, shift, s1, p)
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        c = pow(r1[0], p - 2, p)
-        return self.from_digits([d * c % p for d in s1])
+        return self._pow_nt(a, self.order - 2)
 
     def _frob_matrix(self, j: int) -> np.ndarray:
-        """Matrix of x -> x^(p^j) on GF(p) digit vectors; the q^k
-        Frobenius is j = e*k."""
+        """Matrix of x -> x^(p^j) on GF(p) digit vectors, the j-th power of
+        the p-Frobenius matrix, kept; the q^k Frobenius is j = e*k."""
         j %= self.en
         if j not in self._frob_mats:
-            en = self.en
-            cols = np.zeros((en, en), dtype=np.int64)
-            for i in range(en):
-                img = self._pow_nt(self._ppow[i], self._ppow[j])
-                cols[:, i] = self.digits(img)
-            self._frob_mats[j] = cols
+            self._frob_mats[j] = (_frobenius_matrix(self.x_powers, self.p) if j == 1
+                                  else modp_power(self._frob_matrix(1), j, self.p))
         return self._frob_mats[j]
 
     # -- tower structure ---------------------------------------------------
@@ -678,7 +630,8 @@ def build_field(p: int, e: int, t: int, modulus=None) -> FieldCtx:
 
     p, e and t may be any integers, numpy ones included, but not bools;
     modulus any sequence of integers. Raises BadParams, NonPrimeP, EvenP,
-    TSmall or ReducibleModulus on bad input.
+    TSmall or ReducibleModulus on bad input, and BadParams when q^n > 2^63,
+    where element indices would overflow int64.
     """
     try:
         if any(isinstance(v, bool) for v in (p, e, t)):
@@ -697,14 +650,17 @@ def build_field(p: int, e: int, t: int, modulus=None) -> FieldCtx:
         raise BadParams(f"e = {e} must be a positive integer")
     if t < 3:
         raise TSmall(f"t = {t} is below the minimum t >= 3")
+    en = e * 2 * t
+    # the first test bounds p^(e*n) below by 2^(e*n*floor(log2 p)) without computing it
+    if en * (p.bit_length() - 1) > 63 or p**en > 1 << 63:
+        raise BadParams(f"q^n = {p}^{en} is above 2^63: element indices would overflow int64")
     key = (p, e, t, modulus)
     if key in _CTX_CACHE:
         return _CTX_CACHE[key]
     if modulus is not None:
         mod = [c % p for c in modulus]
-        if len(mod) != e * 2 * t + 1 or mod[-1] != 1:
-            raise ReducibleModulus(
-                f"modulus must be monic of degree {e * 2 * t} over GF({p})")
+        if len(mod) != en + 1 or mod[-1] != 1:
+            raise ReducibleModulus(f"modulus must be monic of degree {en} over GF({p})")
         if not is_irreducible(mod, p):
             raise ReducibleModulus("supplied modulus is reducible over GF(p)")
     ctx = FieldCtx(FieldSpec(p, e, t, modulus))

@@ -72,9 +72,10 @@ def mod_p_product(A: np.ndarray, planes: np.ndarray, p: int) -> np.ndarray:
 #
 # A q-polynomial sum_i c_i x^(q^i) acts on GF(q^n) = GF(p)^(e*n) through the
 # matrix sum_{i,d} digit_d(c_i) * M_(p^d) * Phi^i, and a field element a
-# through M_a = sum_d digit_d(a) * M_(p^d); FieldCtx.action_tensor holds
-# those n*e*n products. Every batched rank is the GF(p) rank of such
-# matrices, divided by e (Dickson ranks) or by e*n (field matrices).
+# through M_a = sum_d digit_d(a) * M_(p^d); FieldCtx.x_powers holds the
+# M_(p^d) and FieldCtx.action_tensor the n*e*n products. Every batched
+# rank is the GF(p) rank of such matrices, divided by e (Dickson ranks) or
+# by e*n (field matrices).
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,9 +203,9 @@ def digit_contract(ctx, T: np.ndarray, elems: np.ndarray) -> np.ndarray:
 
 
 def mult_tensor(ctx) -> np.ndarray:
-    """(e*n, e*n, e*n) stack of the matrices M_(p^d) of y -> x^d * y, so
-    that M_a is the digit contraction of a against it."""
-    return ctx.action_tensor()[:ctx.en]
+    """(e*n, e*n, e*n) read-only stack of the matrices M_(p^d) of
+    y -> x^d * y, so that M_a is the digit contraction of a against it."""
+    return ctx.x_powers
 
 
 def batch_rank(ctx, mats: np.ndarray) -> np.ndarray:
@@ -346,6 +347,19 @@ def modp_rref(mat: np.ndarray, p: int):
         rows.append(r)
         pivots.append(j)
     return R[rows], pivots
+
+
+def modp_power(A: np.ndarray, m: int, p: int) -> np.ndarray:
+    """A^m mod p by square and multiply, A a square int64 matrix of
+    residues (exact while its size times p^2 stays below 2^63)."""
+    acc = np.eye(len(A), dtype=np.int64)
+    while m:
+        if m & 1:
+            acc = acc @ A % p
+        m >>= 1
+        if m:
+            A = A @ A % p
+    return acc
 
 
 def modp_nullspace(mat: np.ndarray, p: int) -> np.ndarray:

@@ -166,6 +166,14 @@ def test_field_above_table_limit(capsys):
     assert obj["certificate"] is not None and obj["verified"] is True
 
 
+def test_field_above_int64_indices(capsys):
+    # 1451^6 > 2^63: refused with exit 2 before the modulus search
+    rc, out, err = _run(capsys, ["equiv", "--p", "1451", "--t", "3",
+                                 "--left", "psi:1", "--right", "psi:5"])
+    assert rc == 2 and out == ""
+    assert err.startswith("invalid config:") and len(err.splitlines()) == 1
+
+
 def test_modulus_file(capsys, tmp_path):
     default = _run_json(capsys, ["verify-scattered", "--p", "3", "--t", "3",
                                  "--k", "1"])

@@ -296,16 +296,17 @@ def _flag_maps(ctx, rng):
     return maps + [ident + frob_t, frob_t, LinPoly.zero(ctx), ident, nil]
 
 
-def _right_idealiser_by_every_block(code):
-    """The right idealiser's basis from the full system: the block K L_c
-    for every c = p^d * f and p^d * id of the code's GF(p)-basis, in int64
-    products."""
+def _idealiser_by_every_block(code, side):
+    """An idealiser's basis from the full system: the block K R_c (left)
+    or K L_c (right) for every c = p^d * f and p^d * id of the code's
+    GF(p)-basis, in int64 products."""
     ctx = code.ctx
     p = ctx.p
     ident = LinPoly.identity(ctx)
     gens = [g.scale(p ** d) for d in range(ctx.en) for g in (code.f, ident)]
     K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
-    A = np.concatenate([K @ c.left_matrix().astype(np.int64) % p for c in gens])
+    A = np.concatenate([K @ (c.right_matrix() if side == "left" else c.left_matrix())
+                        .astype(np.int64) % p for c in gens])
     assert len(A) == 2 * ctx.en * len(K)
     return [list(vec_poly(ctx, v).coeffs) for v in linalg.modp_nullspace(A, p)]
 
@@ -317,8 +318,19 @@ def test_right_idealiser_matches_the_full_system(pet):
     ctx = build_field(*pet)
     for f in _flag_maps(ctx, np.random.default_rng(ctx.order + 1)):
         rep = idealiser(build_code(f), "right")
-        assert [list(b.coeffs) for b in rep.basis] == _right_idealiser_by_every_block(
-            build_code(f)), f
+        assert [list(b.coeffs) for b in rep.basis] == _idealiser_by_every_block(
+            build_code(f), "right"), f
+
+
+def test_left_idealiser_matches_the_full_system():
+    # the solve stacks K R_c over the code's GF(q)-basis only, 2n blocks;
+    # the 2*e*n blocks of its GF(p)-basis must give the same basis. Only
+    # e > 1 tells the two apart
+    ctx = build_field(3, 2, 3)
+    for f in _flag_maps(ctx, np.random.default_rng(ctx.order + 2)):
+        rep = idealiser(build_code(f), "left")
+        assert [list(b.coeffs) for b in rep.basis] == _idealiser_by_every_block(
+            build_code(f), "left"), f
 
 
 def test_all_invertible_matches_the_enumeration():

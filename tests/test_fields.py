@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (gf_gcdex, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem,
+                                     gf_strip)
 
 from scatpoly.codes import build_code, idealiser
 from scatpoly.errors import BadParams, EvenP, FieldTooLarge, NonPrimeP, ReducibleModulus, TSmall
@@ -26,6 +29,15 @@ def test_parameter_validation():
         build_field(3, 0, 3)
     with pytest.raises(TSmall):
         build_field(3, 1, 2)
+
+
+def test_element_indices_fit_int64():
+    # 1451^6 is above 2^63, 1447^6 below
+    with pytest.raises(BadParams):
+        build_field(1451, 1, 3)
+    ctx = build_field(1447, 1, 3)
+    assert ctx.order == 1447**6 < 1 << 63 and not ctx.has_tables
+    assert ctx._pow_nt(ctx.omega, ctx.mult_order) == 1
 
 
 def test_parameters_normalised_once(ctx33):
@@ -236,9 +248,75 @@ def test_digits_roundtrip(ctx923):
         assert ctx.from_digits(digs) == a
 
 
+# -- the table-free arithmetic against sympy's GF(p)[x] -------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 191])
+def test_is_irreducible_matches_sympy(p):
+    # random monic polynomials of degrees 1-12, at least two irreducible
+    # and two reducible ones of each degree above 1, then for even m
+    # products of two distinct irreducibles of degree m/2, which pass the
+    # x^(p^m) = x test and fail only on the rank of x^(p^(m/2)) - x
+    rng = np.random.default_rng(p)
+    irreducibles = {}
+    for m in range(1, 13):
+        seen = {True: [], False: []}
+        for _ in range(400):
+            coeffs = [int(c) for c in rng.integers(0, p, size=m)] + [1]
+            want = gf_irreducible_p(coeffs[::-1], p, ZZ)
+            assert is_irreducible(coeffs, p) == want, coeffs
+            seen[want].append(coeffs[::-1])
+            if len(seen[True]) >= 2 and (m == 1 or len(seen[False]) >= 2):
+                break
+        assert len(seen[True]) >= 2 and (m == 1 or len(seen[False]) >= 2), m
+        irreducibles[m] = seen[True]
+        if m % 2 == 0:
+            g, h = irreducibles[m // 2][:2]
+            if g != h:
+                assert not is_irreducible(gf_mul(g, h, p, ZZ)[::-1], p), (g, h)
+
+
+def _gf(ctx, a):
+    """The element of index a as a big-endian sympy GF(p)[x] polynomial."""
+    return gf_strip(ctx.digits(a)[::-1])
+
+
+def _index(ctx, poly):
+    return ctx.from_digits(list(poly)[::-1])
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (3, 2, 3), (13, 1, 3), (191, 1, 3)])
+def test_table_free_arithmetic_matches_sympy(pet):
+    ctx = build_field(*pet)
+    p, en = ctx.p, ctx.en
+    mod = list(ctx.modulus)[::-1]
+
+    def index_rem(poly):
+        return _index(ctx, gf_rem(poly, mod, p, ZZ))
+
+    rng = np.random.default_rng(29)
+    elems = [1, p, ctx.omega, ctx.order - 1, *map(int, rng.integers(1, ctx.order, size=16))]
+    exps = [0, 1, ctx.mult_order - 1, *map(int, rng.integers(0, ctx.order, size=len(elems) - 3))]
+    for a, b, m in zip(elems, elems[::-1], exps):
+        A = _gf(ctx, a)
+        assert ctx._mul_nt(a, b) == index_rem(gf_mul(A, _gf(ctx, b), p, ZZ)), (a, b)
+        assert ctx._pow_nt(a, m) == _index(ctx, gf_pow_mod(A, m, mod, p, ZZ)), (a, m)
+        s, _, one = gf_gcdex(A, mod, p, ZZ)
+        assert one == [1] and ctx._inv_nt(a) == _index(ctx, s), a
+        # column i of M_a holds the digits of a * x^i
+        want = [ctx.digits(index_rem(gf_mul(A, [1] + [0] * i, p, ZZ))) for i in range(en)]
+        assert np.array_equal(ctx._mult_matrix(a), np.array(want).T), a
+    for j in range(en):
+        # column i of the p^j-Frobenius matrix holds the digits of x^(i*p^j)
+        want = [ctx.digits(_index(ctx, gf_pow_mod([1, 0], i * p**j, mod, p, ZZ)))
+                for i in range(en)]
+        assert np.array_equal(ctx._frob_matrix(j), np.array(want).T), j
+
+
 def test_inverse_without_tables(ctx33, ctx923):
-    # every nonzero a at (3,3); at q = 9 one no-table inverse costs about
-    # 55 us, so every 29th element stands in for the 531440 of them
+    # every nonzero a at (3,3); at q = 9 one no-table inverse, a power by
+    # square and multiply of 12 x 12 matrices, costs about 120-220 us, so
+    # every 29th element stands in for the 531440 of them
     for ctx, step in ((ctx33, 1), (ctx923, 29)):
         for a in [*range(1, ctx.order, step), ctx.order - 1]:
             assert ctx._inv_nt(a) == ctx.inv(a), a
@@ -280,9 +358,9 @@ def test_frob_table_is_frobenius_matrix(ctx33, ctx923):
     # frob_q[x] is the q-Frobenius matrix applied to the digits of x
     for ctx, step in ((ctx33, 1), (ctx923, 7)):
         xs = np.arange(0, ctx.order, step, dtype=np.int64)
-        digs = xs // np.array(ctx._ppow[:ctx.en], dtype=np.int64)[:, None] % ctx.p
-        images = ctx._frob_matrix(ctx.e) @ digs % ctx.p
-        assert np.array_equal(ctx._frob_q[xs], np.array(ctx._ppow[:ctx.en]) @ images)
+        ppow = ctx.p ** np.arange(ctx.en, dtype=np.int64)
+        images = ctx._frob_matrix(ctx.e) @ (xs // ppow[:, None] % ctx.p) % ctx.p
+        assert np.array_equal(ctx._frob_q[xs], ppow @ images)
 
 
 def test_tables_built_on_first_use(ctx33, ctx923, bare_field):

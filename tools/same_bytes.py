@@ -20,8 +20,12 @@ coefficients in GF(p^2) and GF(p^4) at (3,2,3), and the Baer JSON for
 k = 1, 5 at (5,3) and (13,3); then, for every psi_k at (5,3), (3,4) and
 (3,5), every rank the batched kernel returns: the ranks of f + m*id over
 every shift m, and of C_rho over every class rho = omega^j, 0 < j < R,
-R = (q^n - 1)/(q - 1). New outputs go at the end, so a prefix of the
-lines keeps its digest as the list grows.
+R = (q^n - 1)/(q - 1); then, on fields that build no tables, `equiv` of
+psi:1 against lp-type at (13,3), against psi:5 and pseudoregulus at
+(191,3) and against psi:7 at (3,8), and the moduli smallest_irreducible
+(p, m) for (3,16), (5,10), (7,8), (11,8), (13,6) and (191,6). New outputs
+go at the end, so a prefix of the lines keeps its digest as the list
+grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
 """
 
@@ -36,7 +40,7 @@ from math import gcd
 import numpy as np
 
 from scatpoly import cli, codes, linalg
-from scatpoly.fields import build_field
+from scatpoly.fields import build_field, smallest_irreducible
 from scatpoly.linpoly import LinPoly
 from scatpoly.scattered import (_commutator_tensor, baer_partition_check, build_psi,
                                 is_scattered_fibers, is_scattered_ranks,
@@ -131,6 +135,12 @@ def _lines():
             yield f"shift_ranks psi_{k} at {name}", _sha(shift_ranks(f).tobytes())
             ranks = linalg.digit_dickson_ranks(ctx, _commutator_tensor(f), rhos)
             yield f"class ranks psi_{k} at {name}", _sha(ranks.tobytes())
+    for pet, right in (((13, 1, 3), "lp-type"), ((191, 1, 3), "psi:5"),
+                       ((191, 1, 3), "pseudoregulus"), ((3, 1, 8), "psi:7")):
+        argv = ["equiv", *_field_args(pet), "--left", "psi:1", "--right", right]
+        yield " ".join(argv), _cli(argv)
+    for p, m in ((3, 16), (5, 10), (7, 8), (11, 8), (13, 6), (191, 6)):
+        yield f"smallest_irreducible({p}, {m})", _sha(repr(smallest_irreducible(p, m)).encode())
 
 
 def _fiber_lines(f, label):
