@@ -11,6 +11,7 @@ verdict), 2 for invalid configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from time import perf_counter
@@ -204,7 +205,10 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps
+    no state between calls, each call filling a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="scatpoly",
         description="Scattered q-polynomials, their linear sets, and the "

@@ -5,9 +5,10 @@ GF(q)-algebra of q-polynomials; distance between codewords is the rank of
 their difference as a GF(q)-linear map. Scalar multiples share a rank, so
 every distance-type quantity is computed over the q^n + 1 projective
 representative classes (1, b) and (0, 1). Idealisers (one-sided stabilizing
-subalgebras) come from an exact GF(p)-nullspace solve, never from search;
-they compose through the GF(p) composition matrices L_c and R_c of
-LinPoly, so they need no field tables.
+subalgebras) come from an exact GF(p)-nullspace solve in the code's own
+GF(p)-span, never from search; they compose through the GF(p) composition
+matrix L_f of LinPoly and the multiplication matrices M_(p^d), so they need
+no field tables.
 """
 
 from __future__ import annotations
@@ -180,23 +181,30 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
               ) -> IdealiserReport:
     """One-sided stabilizing subalgebra, by exact linear solve over GF(p).
 
-    An unknown q-polynomial phi (n*(e*n) digit unknowns) lies in the left
-    idealiser iff phi o c stays in the code for every c in a GF(p)-basis of
-    the code. In poly_vec coordinates phi o c is R_c phi, so each c
-    contributes the block K R_c of linear conditions, K being the code's
-    membership kernel. phi is GF(q)-linear, so phi o (lam*c) = lam*(phi o c)
-    for lam in GF(q), and the code is closed under lam*: the left side
-    needs only the 2n blocks of the GF(q)-basis {x^d f, x^d id : d < n}
-    (x^d, of index p^d, for d < n are a GF(q)-basis of GF(q^n)). The right
-    side swaps the composition order, c o phi being L_c phi, and needs two
-    blocks only: every codeword is c = lam*f + mu*id, so
-    c o phi = lam*(f o phi) + mu*phi, and the code is closed under lam*.
-    So c o phi lies in the code for every c iff f o phi and phi do, and
-    the right side stacks K L_f and K L_id. The nullspace depends only on
-    the row space of the stack, read off its unique reduced echelon form,
-    so any stack with the same solutions gives the same basis. The
-    closure and commutativity flags read the products u o v of basis
-    elements off L_u times the basis.
+    id lies in the code C, so every phi of the left idealiser is
+    phi o id and every phi of the right one is id o phi: both lie in C.
+    So phi = y V is solved for in the 2*e*n digits y of its coordinates
+    over the code's GF(p)-basis gens = {p^d f, p^d id : d < e*n}, V being
+    poly_vec(gens) and K, the nullspace of V, the code's membership
+    kernel. phi lies in the left idealiser iff phi o c stays in C for
+    every c in C. phi is GF(q)-linear, so phi o (lam*c) = lam*(phi o c)
+    for lam in GF(q), and C is closed under lam*: the GF(q)-basis
+    {x^d f, x^d id : d < n} of C suffices (x^d, of index p^d, for d < n
+    are a GF(q)-basis of GF(q^n)). With (p^d f) o c = p^d (f o c) and
+    (p^d id) o c = p^d c, the block of c has the columns
+    K poly_vec(p^d (f o c)) and K poly_vec(p^d c), read off L_f and the
+    matrices M_(p^d): 2n blocks of |K| rows. On the right, every codeword
+    is lam*f + mu*id, so c o phi = lam*(f o phi) + mu*phi lies in C for
+    every c iff f o phi does, phi being in C: the one block K L_f V^T.
+    At q = 9 the left system is 576 x 24 and the right one 48 x 24.
+
+    The solutions phi = y V span the idealiser, and its basis is the
+    unique one a nullspace solve in all n*e*n digits of phi would return
+    (linalg.modp_nullspace): row k is 1 at its last nonzero column f_k
+    and 0 at the other f_j, which is the reduced echelon form of the
+    solutions with their columns reversed. The closure and commutativity
+    flags read the products u o v of basis elements off L_u times the
+    basis, all L_u from one batch of monomial matrices.
 
     all_invertible is decided on those structure constants, assuming the
     algebra is closed and contains the identity, as every idealiser is. A
@@ -212,16 +220,27 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     ctx = code.ctx
-    p, en = ctx.p, ctx.en
+    p, n, en = ctx.p, ctx.n, ctx.en
     ident = LinPoly.identity(ctx)
     gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
-    K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
+    V = poly_vec(ctx, [g.coeffs for g in gens])
+    K = linalg.modp_nullspace(V, p)
+    L_f = code.f.left_matrix()
     if side == "left":
-        blocks = [c.right_matrix() for c in gens[:2 * ctx.n]]
+        # U[g, c] is poly_vec(f o c) (g = 0) or poly_vec(c) (g = 1) for c in
+        # gens[:2n], one row per slot; W[c][:, 2d + g] is poly_vec of
+        # gens[2d + g] o c, that is M_(p^d) applied to every slot of U[g, c]
+        cs = V[:2 * n]
+        U = np.stack([linalg.mod_p_product(cs, L_f.T, p), cs]).reshape(-1, en)
+        X = linalg.mult_tensor(ctx)
+        W = linalg.mod_p_product(U, X.transpose(2, 0, 1).reshape(en, en * en), p)
+        W = W.reshape(2, 2 * n, n, en, en).transpose(1, 2, 4, 3, 0)
+        A = linalg.mod_p_product(K, W.reshape(2 * n, n * en, 2 * en), p)
     else:
-        blocks = [code.f.left_matrix(), ident.left_matrix()]
-    xi = linalg.modp_nullspace(
-        np.concatenate([linalg.mod_p_product(K, B, p) for B in blocks]), p)
+        A = linalg.mod_p_product(K, linalg.mod_p_product(L_f, V.T, p), p)
+    Y = linalg.modp_nullspace(A.reshape(-1, 2 * en), p)
+    S = linalg.mod_p_product(Y, V, p)
+    xi = linalg.modp_rref(S[:, ::-1], p)[0][::-1, ::-1]
     basis = tuple(vec_poly(ctx, v) for v in xi)
     dim_p = len(xi)
 
@@ -232,9 +251,7 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
         # membership in the span of xi: the kernel of its annihilator
         member = linalg.modp_nullspace(xi, p)
         contains_identity = not (member @ poly_vec(ctx, ident.coeffs) % p).any()
-        # C[i][:, j] holds the coordinates of basis[i] o basis[j]
-        C = np.stack([linalg.mod_p_product(u.left_matrix(), xi.T, p)
-                      for u in basis]).astype(np.int64)
+        C = _structure_constants(ctx, xi)
         closed = not (member @ C % p).any()
         commutative = np.array_equal(C, C.transpose(2, 1, 0))
         all_invertible = commutative and _is_field(C, xi, p)
@@ -245,13 +262,36 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
                            contains_identity=contains_identity)
 
 
+def _structure_constants(ctx, xi: np.ndarray) -> np.ndarray:
+    """C with C[i][:, j] the poly_vec coordinates of u_i o u_j, u_i being
+    the q-polynomial of row i of xi: C[i] = L_(u_i) xi^T, as int64.
+
+    Block (m, s') of L_u is the matrix of the monomial u_(m-s') x^(q^(m-s')),
+    so slot m of u_i o u_j is the sum over s of the monomial u_(i,s) x^(q^s)
+    applied to slot m - s of u_j. The monomial matrices of every basis
+    element come from one qpoly_matrices batch, and the sum is one product
+    against the rolled slots of xi."""
+    p, n, en = ctx.p, ctx.n, ctx.en
+    r = len(xi)
+    coeffs = linalg.plane_indices(xi.reshape(r, n, en).transpose(2, 0, 1), p)
+    cols = np.zeros((n, r, n), dtype=np.int64)  # column (i, s): u_(i,s) x^(q^s)
+    cols[np.arange(n), :, np.arange(n)] = coeffs.T
+    mono = linalg.qpoly_matrices(ctx, cols.reshape(n, r * n)).reshape(en, en, r, n)
+    lag = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # lag[s, m] = m - s
+    Z = xi.reshape(r, n, en)[:, lag, :]  # Z[j, s, m, c] = slot m - s of u_j, digit c
+    P = linalg.mod_p_product(mono.transpose(2, 0, 3, 1).reshape(r * en, n * en),
+                             Z.transpose(1, 3, 2, 0).reshape(n * en, n * r), p)
+    return P.reshape(r, en, n, r).transpose(0, 2, 1, 3).reshape(r, n * en, r).astype(np.int64)
+
+
 def _is_field(C: np.ndarray, xi: np.ndarray, p: int) -> bool:
     """Whether the commutative algebra with identity spanned by the rows of
     xi is a field, C[i][:, j] being the poly_vec coordinates of
     basis[i] o basis[j].
 
-    xi is a modp_nullspace basis, so row k is 1 at its last nonzero column
-    f_k and 0 at the other f_j: an element of the span has coordinates
+    xi is the reduced basis of the solution space that idealiser reads
+    off, so row k is 1 at its last nonzero column f_k and 0 at the other
+    f_j: an element of the span has coordinates
     v[f_0..f_(r-1)] over the basis, and S_i = C[i][f, :] is the matrix of
     multiplication by basis[i]. Column i of the Frobenius matrix F is the
     coordinates of basis[i]^p, S_i^(p-1) e_i. The products are exact in

@@ -262,6 +262,8 @@ def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
     certificate does not depend on the basis of S."""
     p, en = ctx.p, ctx.en
     U = _solutions(ctx, L_g, F)
+    if not len(U):
+        return None  # the only solution is the zero matrix
     v0 = np.zeros(4 * en, dtype=np.int64)
     if not _span_has_invertible(ctx, v0, U):
         return None

@@ -235,3 +235,13 @@ def test_acceptance_text_to_file(capsys, tmp_path):
     assert rc == 0
     text = path.read_text()
     assert "PASS  size" in text and "passed 1/1 criteria" in text
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process: a csv run must not leave its
+    # format to the next call
+    argv = ["code-report", "--p", "3", "--t", "3", "--k", "1"]
+    rc, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert rc == 0 and out.startswith("rank,count")
+    obj = _run_json(capsys, argv)
+    assert obj["rank_distribution"]["total"] == 3**12

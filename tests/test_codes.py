@@ -7,6 +7,7 @@ from scatpoly.errors import BadHypotheses, CtxMismatch
 from scatpoly import linalg
 from scatpoly.fields import build_field
 from scatpoly.codes import (
+    _structure_constants,
     adjoint_code,
     build_code,
     code_equivalent,
@@ -311,26 +312,68 @@ def _idealiser_by_every_block(code, side):
     return [list(vec_poly(ctx, v).coeffs) for v in linalg.modp_nullspace(A, p)]
 
 
-@pytest.mark.parametrize("pet", [(5, 1, 3), (3, 1, 4), (3, 2, 3)])
-def test_right_idealiser_matches_the_full_system(pet):
-    # the solve stacks K L_f and K L_id only; every K L_c must give the
-    # same basis, as the code is spanned by lam*f and lam*id
+def _oracle_maps(ctx, rng):
+    """_flag_maps, plus 2*id (a degenerate code) and a full-support map."""
+    full = LinPoly(ctx, [int(c) for c in rng.integers(1, ctx.order, size=ctx.n)])
+    return _flag_maps(ctx, rng) + [LinPoly.monomial(ctx, 2, 0), full]
+
+
+def _assert_matches_the_full_system(pet, side, seed):
     ctx = build_field(*pet)
-    for f in _flag_maps(ctx, np.random.default_rng(ctx.order + 1)):
-        rep = idealiser(build_code(f), "right")
-        assert [list(b.coeffs) for b in rep.basis] == _idealiser_by_every_block(
-            build_code(f), "right"), f
+    for f in _oracle_maps(ctx, np.random.default_rng(ctx.order + seed)):
+        code = build_code(f)
+        want = _idealiser_by_every_block(code, side)
+        for flags in (True, False):
+            rep = idealiser(code, side, check_flags=flags)
+            assert [list(b.coeffs) for b in rep.basis] == want, (f, flags)
+            assert rep.dim_p == len(want)
+            assert (rep.closed is None) == (not flags)
+
+
+# the solve takes phi in the code's GF(p)-span and, on each side, only the
+# blocks that suffice; every K R_c or K L_c over the full n*e*n digits of
+# phi must give the same basis, with the field flags on and off (off at
+# q = 9 is what the benchmark's left solves run)
+@pytest.mark.parametrize("pet", [(5, 1, 3), (3, 1, 4), (3, 2, 3), (3, 1, 3)])
+def test_right_idealiser_matches_the_full_system(pet):
+    _assert_matches_the_full_system(pet, "right", 1)
 
 
 def test_left_idealiser_matches_the_full_system():
-    # the solve stacks K R_c over the code's GF(q)-basis only, 2n blocks;
-    # the 2*e*n blocks of its GF(p)-basis must give the same basis. Only
-    # e > 1 tells the two apart
+    for pet in ((3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 2, 3)):
+        _assert_matches_the_full_system(pet, "left", 2)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (3, 1, 4), (3, 2, 3)])
+def test_structure_constants_match_the_left_matrices(pet):
+    ctx = build_field(*pet)
+    p = ctx.p
+    for f in _oracle_maps(ctx, np.random.default_rng(ctx.order + 3)):
+        for side in ("left", "right"):
+            basis = idealiser(build_code(f), side, check_flags=False).basis
+            xi = poly_vec(ctx, [b.coeffs for b in basis])
+            want = np.stack([u.left_matrix() @ xi.T % p for u in basis])
+            assert np.array_equal(_structure_constants(ctx, xi), want), (f, side)
+
+
+def test_idealiser_solves_in_the_codes_span(monkeypatch):
+    # the unknowns are the 2*e*n coordinates over the code's GF(p)-basis,
+    # so no elimination of a solve has more pivots than that, where a left
+    # system over all n*e*n digits of phi has 60 at q = 9
     ctx = build_field(3, 2, 3)
-    for f in _flag_maps(ctx, np.random.default_rng(ctx.order + 2)):
-        rep = idealiser(build_code(f), "left")
-        assert [list(b.coeffs) for b in rep.basis] == _idealiser_by_every_block(
-            build_code(f), "left"), f
+    most = []
+    rref = linalg.modp_rref
+
+    def counted(mat, p):
+        out = rref(mat, p)
+        most.append(len(out[1]))
+        return out
+    monkeypatch.setattr(linalg, "modp_rref", counted)
+    for k in range(1, ctx.n):
+        for side in ("left", "right"):
+            for flags in (True, False):
+                idealiser(build_code(build_psi(ctx, k)), side, check_flags=flags)
+    assert most and max(most) <= 2 * ctx.en
 
 
 def test_all_invertible_matches_the_enumeration():

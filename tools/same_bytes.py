@@ -23,9 +23,11 @@ every shift m, and of C_rho over every class rho = omega^j, 0 < j < R,
 R = (q^n - 1)/(q - 1); then, on fields that build no tables, `equiv` of
 psi:1 against lp-type at (13,3), against psi:5 and pseudoregulus at
 (191,3) and against psi:7 at (3,8), and the moduli smallest_irreducible
-(p, m) for (3,16), (5,10), (7,8), (11,8), (13,6) and (191,6). New outputs
-go at the end, so a prefix of the lines keeps its digest as the list
-grows.
+(p, m) for (3,16), (5,10), (7,8), (11,8), (13,6) and (191,6); then the
+idealiser JSON without its field flags, both sides, for every k at
+(3,2,3), and with them for 2*id and a seeded full-support map at (5,3).
+New outputs go at the end, so a prefix of the lines keeps its digest as
+the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
 """
 
@@ -141,6 +143,18 @@ def _lines():
         yield " ".join(argv), _cli(argv)
     for p, m in ((3, 16), (5, 10), (7, 8), (11, 8), (13, 6), (191, 6)):
         yield f"smallest_irreducible({p}, {m})", _sha(repr(smallest_irreducible(p, m)).encode())
+    ctx = build_field(3, 2, 3)
+    for k in range(1, ctx.n):
+        for side in ("left", "right"):
+            yield _idealiser_line(build_psi(ctx, k), side,
+                                  f"psi_{k} at (3,2,3) without flags", check_flags=False)
+    ctx = build_field(5, 1, 3)
+    rng = np.random.default_rng(53)
+    full = [int(c) for c in rng.integers(1, ctx.order, size=ctx.n)]
+    for label, f in (("2*id", LinPoly.monomial(ctx, 2, 0)),
+                     (f"full-support map {full}", LinPoly(ctx, full))):
+        for side in ("left", "right"):
+            yield _idealiser_line(f, side, f"{label} at (5,3)")
 
 
 def _fiber_lines(f, label):
@@ -152,8 +166,8 @@ def _json_sha(obj) -> str:
     return _sha(json.dumps(obj, sort_keys=True).encode())
 
 
-def _idealiser_line(f, side, label):
-    rep = codes.idealiser(codes.build_code(f), side)
+def _idealiser_line(f, side, label, check_flags=True):
+    rep = codes.idealiser(codes.build_code(f), side, check_flags=check_flags)
     return (f"idealiser {side} {label}",
             _sha(json.dumps(rep.to_json(), sort_keys=True).encode()))
 
