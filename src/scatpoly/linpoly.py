@@ -135,7 +135,8 @@ class LinPoly:
         return self.eval_vec(np.arange(self.ctx.order, dtype=np.int64))
 
     def _fibers(self):
-        """(occupied, sizes) of x -> f(x)/x on nonzero x, in the log domain.
+        """(keys, lengths, weights): the fibers of x -> f(x)/x on nonzero
+        x, in the log domain, one entry per Frobenius orbit of bins.
 
         f is GF(q)-linear, so f(lam*x)/(lam*x) = f(x)/x for lam in GF(q)*,
         and GF(q)* is generated by omega^R, R = (q^n - 1)/(q - 1): every
@@ -149,61 +150,98 @@ class LinPoly:
         has the bin b, and the kernel's bin M stays M. So f is evaluated,
         by A_f on the digit planes, only at the orbit representatives that
         FieldCtx.frobenius_orbits yields over the classes (filtered once per
-        field and d), and each representative's bin b is expanded to
-        b*p^(d*i) mod M for i below its orbit's size. The orbits partition
-        the classes, so the expanded bins are the multiset of a pass over
-        every class. They are sorted in place and cut where they change:
-        occupied holds the distinct bins in ascending order, the kernel's
-        last, and sizes the sizes of their fibers, q - 1 times their
-        numbers of classes. The fiber of the value v is ker(A_f - M_v)
-        minus 0."""
+        field and d). The o_r classes of a representative's orbit have the
+        bins of the orbit of b under b -> b*p^d mod M, whose length o_b,
+        the first return, divides o_r: each of its o_b bins takes o_r/o_b
+        of the classes. The orbits of the classes partition them, so a bin
+        orbit's classes per bin are the sum of these weights over the
+        representatives with that orbit.
+
+        Each representative is keyed by the least bin of its orbit, taken
+        in e*n/d - 1 multiply-and-reduce steps, and (key, o_b, o_r/o_b) is
+        packed in one int64, sorted in place and cut where the key
+        changes. keys holds the distinct orbit minima ascending, the
+        kernel's bin M last, lengths the orbits' lengths (1 for M), and
+        weights their classes per bin: the bins are key*p^(d*i) mod M for
+        i < length (_orbit_bins), (q^n - 1)/(q - 1) distinct values
+        exactly when lengths sums to R, and each bin's fiber has
+        (q - 1)*weight elements. The fiber of the value v is
+        ker(A_f - M_v) minus 0."""
         ctx = self.ctx
         ctx._need_whole_field(tables=True)
         M = ctx.mult_order
-        R = M // (ctx.q - 1)
-        A = self.matrix()
         d = self.coeff_degree()
+        steps = ctx.en // d
         js, sizes = map(np.concatenate, zip(*ctx.frobenius_orbits("classes", d)))
-        fx = linalg.apply_matrix(ctx, A, ctx.vgen_power(js))
+        fx = linalg.apply_matrix(ctx, self.matrix(), ctx.vgen_power(js))
         b = ctx.vlog(fx) - js
         np.add(b, M, out=b, where=b < 0)
         kernel = fx == 0
         del js, fx
-        # the kernel's classes take the top of bins, and the orbits of the
-        # other representatives are expanded below them, image i of every
-        # orbit longer than i at a time
-        bins = np.empty(R, dtype=np.int64)
-        bins[R - int(sizes[kernel].sum()):] = M
-        b, sizes = b[~kernel], sizes[~kernel]
-        lo = 0
-        for i in range(ctx.en // d):
-            if i:
-                longer = sizes > i
-                b, sizes = b[longer], sizes[longer]
-            img = bins[lo:lo + len(b)]
-            np.multiply(b, pow(ctx.p, d * i, M), out=img)
+        kernel_classes = int(sizes[kernel].sum())
+        b, sizes = b[~kernel], sizes[~kernel].astype(np.int64)
+        # the orbit's least bin, and its length o_b: the returns are the
+        # multiples of o_b, which divides steps, so the last one below
+        # steps is steps - o_b (0 when there is none)
+        keys, img, back = b.copy(), b.copy(), np.zeros(len(b), dtype=np.int64)
+        g = pow(ctx.p, d, M)
+        for i in range(1, steps):
+            img *= g
             img -= img // M * M
-            lo += len(b)
-        bins.sort()
-        change = np.empty(R, dtype=bool)
-        change[0] = True
-        np.not_equal(bins[1:], bins[:-1], out=change[1:])
+            np.minimum(keys, img, out=keys)
+            back[img == b] = i
+        lengths = steps - back
+        # key, length and weight, each length and weight at most steps
+        bits = steps.bit_length()
+        mask = (1 << bits) - 1
+        packed = keys << 2 * bits
+        packed |= lengths << bits
+        sizes //= lengths
+        packed |= sizes
+        packed.sort()
+        keys = packed >> 2 * bits
+        change = np.empty(len(keys), dtype=bool)
+        change[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=change[1:])
         starts = np.flatnonzero(change)
         del change
-        occupied = bins[starts]
-        del bins
-        counts = np.empty(len(starts), dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-        counts[-1] = R - starts[-1]
-        counts *= ctx.q - 1
-        return occupied, counts
+        keys = keys[starts]
+        lengths = packed[starts] >> bits & mask
+        packed &= mask
+        weights = np.add.reduceat(packed, starts) if len(starts) else packed[:0]
+        if kernel_classes:
+            keys = np.append(keys, M)
+            lengths = np.append(lengths, 1)
+            weights = np.append(weights, kernel_classes)
+        return keys, lengths, weights
+
+    def _orbit_bins(self, keys, lengths) -> np.ndarray:
+        """The bins key*p^(d*i) mod q^n - 1, i < length, of the orbits that
+        _fibers keys, d = coeff_degree(): image i of every orbit longer
+        than i at a time, so not sorted. The kernel's key q^n - 1 has
+        length 1 and stays as it is."""
+        ctx = self.ctx
+        M = ctx.mult_order
+        g = pow(ctx.p, self.coeff_degree(), M)
+        out = np.empty(int(lengths.sum()), dtype=np.int64)
+        img, lo = keys, 0
+        for i in range(int(lengths.max(initial=0))):
+            if i:
+                longer = lengths > i
+                img, lengths = img[longer] * g, lengths[longer]
+                img -= img // M * M
+            out[lo:lo + len(img)] = img
+            lo += len(img)
+        return out
 
     def line_values(self) -> np.ndarray:
-        """Sorted distinct values of f(x)/x over nonzero x."""
+        """Sorted distinct values of f(x)/x over nonzero x: the bins of
+        every orbit that _fibers keys, mapped to omega^bin."""
         M = self.ctx.mult_order
-        occupied = self._fibers()[0]
+        keys, lengths, _ = self._fibers()
+        bins = self._orbit_bins(keys, lengths)
         # bin q^n - 1, the kernel's, holds the value 0
-        return np.sort(np.where(occupied < M, self.ctx.vgen_power(occupied), 0))
+        return np.sort(np.where(bins < M, self.ctx.vgen_power(bins), 0))
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -230,13 +268,6 @@ class LinPoly:
         mono = linalg.qpoly_matrices(ctx, np.diag(np.array(self.coeffs, dtype=np.int64)))
         lag = (np.arange(ctx.n)[:, None] - np.arange(ctx.n)) % ctx.n
         return _block_matrix(mono[:, :, lag])
-
-    def right_matrix(self) -> np.ndarray:
-        """R_f, with poly_vec(h o f) = R_f poly_vec(h): block (m, i) is M_a
-        for a = f_(m-i)^(q^i), entry (i, m) of the Dickson matrix."""
-        ctx = self.ctx
-        vals = np.array(self.dickson(), dtype=np.int64).T
-        return _block_matrix(linalg.digit_contract(ctx, linalg.mult_tensor(ctx), vals))
 
     def adjoint(self) -> "LinPoly":
         """The map f^ with Tr(y * f(x)) = Tr(x * f^(y)) for all x, y."""
@@ -275,9 +306,14 @@ class LinPoly:
 
     def fiber_histogram(self) -> Counter:
         """Multiset of fiber sizes of x -> f(x)/x on nonzero x, as a Counter
-        mapping fiber size to the number of fibers of that size."""
-        sizes, mult = np.unique(self._fibers()[1], return_counts=True)
-        return Counter({int(s): int(m) for s, m in zip(sizes, mult)})
+        mapping fiber size to the number of fibers of that size: each
+        orbit that _fibers keys adds its length to the count of
+        (q - 1)*weight."""
+        _, lengths, weights = self._fibers()
+        weights, which = np.unique(weights, return_inverse=True)
+        counts = np.bincount(which, weights=lengths)
+        q1 = self.ctx.q - 1
+        return Counter({q1 * int(w): int(c) for w, c in zip(weights, counts)})
 
     # -- serialization ------------------------------------------------------
 

@@ -127,20 +127,28 @@ def is_scattered_fibers(f: LinPoly) -> ScatterVerdict:
     iff there are (q^n - 1)/(q - 1) of them. On failure returns the fiber
     witness associated with the smallest oversized value.
 
-    The pass evaluates f at the GF(q)*-orbit representatives omega^j,
-    j < R = (q^n - 1)/(q - 1), only (see LinPoly._fibers). The fiber of
-    the chosen value v is ker(A_f - M_v) minus 0, from which
-    _witness_in_fiber reads the same witness as a pass over every nonzero
-    x would."""
+    The pass evaluates f at the sigma_d-orbit representatives of the
+    GF(q)*-classes omega^j*GF(q)*, j < R = (q^n - 1)/(q - 1), only, and
+    keys each Frobenius orbit of bins by its least bin (see
+    LinPoly._fibers): n_values is the sum of the orbits' lengths. A
+    fiber is oversized when its weight exceeds one class; only those
+    orbits are expanded to their bins, to find the value of smallest
+    index. The fiber of the chosen value v is ker(A_f - M_v) minus 0, from
+    which _witness_in_fiber reads the same witness as a pass over every
+    nonzero x would."""
     ctx = f.ctx
-    occupied, sizes = f._fibers()
-    n_values = len(occupied)
+    keys, lengths, weights = f._fibers()
+    n_values = int(lengths.sum())
     if n_values == (ctx.order - 1) // (ctx.q - 1):
         return ScatterVerdict(True, "fibers", None, n_values, None)
     # bins run in log order, values in index order: 0, whose bin is the
-    # last, comes first; else take the oversized value of smallest index
-    big = occupied[sizes > ctx.q - 1]
-    v = 0 if big[-1] == ctx.mult_order else int(ctx.vgen_power(big).min())
+    # kernel's, last, comes first; else take the oversized value of
+    # smallest index
+    big = weights > 1
+    if big[-1] and keys[-1] == ctx.mult_order:
+        v = 0
+    else:
+        v = int(ctx.vgen_power(f._orbit_bins(keys[big], lengths[big])).min())
     witness = _witness_in_fiber(ctx, f.matrix() - ctx._mult_matrix(v))
     return ScatterVerdict(False, "fibers", witness, n_values, None)
 
@@ -289,14 +297,18 @@ def baer_partition_check(ctx, k: int) -> BaerReport:
     Everything is read in exponents, with s = q^t + 1 and N = q^n - 1:
     GF(q^t)* is omega^j for j = 0 mod s and W* is omega^j for j = s/2
     mod s (see FieldCtx.w_unity_root). So a value of f(x)/x lies in
-    GF(q^t) iff its bin (see LinPoly._fibers) is 0 mod s, the bin N of
-    the value 0 included, as s divides N; and (omega^j)^m is omega^(j*m
-    mod N). The bins of the values and the exponents of the parts are
-    compared as sets, as the values would be."""
+    GF(q^t) iff its bin is 0 mod s, the bin N of the value 0 included, as
+    s divides N; and (omega^j)^m is omega^(j*m mod N). s divides N and is
+    prime to p, so a bin's Frobenius images b*p^i mod N are 0 mod s
+    exactly when b is: only the orbits whose key is 0 mod s (see
+    LinPoly._fibers) are expanded to their bins. The bins of the values
+    and the exponents of the parts are compared as sets, as the values
+    would be."""
     k = _norm_k(ctx, k)
-    bins = build_psi(ctx, k)._fibers()[0]
+    f = build_psi(ctx, k)
+    keys, lengths, _ = f._fibers()
     t, n, N = ctx.t, ctx.n, ctx.mult_order
-    if len(bins) != N // (ctx.q - 1):
+    if lengths.sum() != N // (ctx.q - 1):
         raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
 
     s = ctx.q ** t + 1
@@ -304,7 +316,8 @@ def baer_partition_check(ctx, k: int) -> BaerReport:
     part_sub = np.unique(js * ((ctx.q ** ((t - k) % n) - 1) % N) % N)
     part_skew = np.unique((js + s // 2) * ((ctx.q ** (k % n) - 1) % N) % N)
 
-    inter = bins[bins % s == 0]
+    on = keys % s == 0
+    inter = np.sort(f._orbit_bins(keys[on], lengths[on]))
 
     union = np.union1d(part_sub, part_skew)
     disjoint = len(np.intersect1d(part_sub, part_skew)) == 0

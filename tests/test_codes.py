@@ -297,6 +297,14 @@ def _flag_maps(ctx, rng):
     return maps + [ident + frob_t, frob_t, LinPoly.zero(ctx), ident, nil]
 
 
+def _right_matrix(f):
+    """R_f, with poly_vec(h o f) = R_f poly_vec(h): column i*e*n + d is
+    poly_vec(p^d x^(q^i) o f), p^d being the element x^d."""
+    ctx = f.ctx
+    return poly_vec(ctx, [LinPoly.monomial(ctx, ctx.p ** d, i).compose(f).coeffs
+                          for i in range(ctx.n) for d in range(ctx.en)]).T
+
+
 def _idealiser_by_every_block(code, side):
     """An idealiser's basis from the full system: the block K R_c (left)
     or K L_c (right) for every c = p^d * f and p^d * id of the code's
@@ -306,7 +314,7 @@ def _idealiser_by_every_block(code, side):
     ident = LinPoly.identity(ctx)
     gens = [g.scale(p ** d) for d in range(ctx.en) for g in (code.f, ident)]
     K = linalg.modp_nullspace(poly_vec(ctx, [g.coeffs for g in gens]), p)
-    A = np.concatenate([K @ (c.right_matrix() if side == "left" else c.left_matrix())
+    A = np.concatenate([K @ (_right_matrix(c) if side == "left" else c.left_matrix())
                         .astype(np.int64) % p for c in gens])
     assert len(A) == 2 * ctx.en * len(K)
     return [list(vec_poly(ctx, v).coeffs) for v in linalg.modp_nullspace(A, p)]

@@ -463,7 +463,7 @@ def _full_system_solutions(ctx, L_g, F):
     poly_vec coordinates of p^k * x and of p^k * F."""
     p, en = ctx.p, ctx.en
     X = np.eye(len(L_g), en, dtype=np.int64)
-    P = F.right_matrix() @ X  # (p^k * x) o F = p^k * F
+    P = poly_vec(ctx, [F.scale(p ** k).coeffs for k in range(en)]).T  # (p^k * x) o F
     return linalg.modp_nullspace(np.concatenate([L_g @ X, L_g @ P, -X, -P], axis=1) % p, p)
 
 

@@ -14,6 +14,7 @@ from scatpoly.scattered import (
     ScatterVerdict,
     BaerReport,
     _commutator_tensor,
+    _witness_in_fiber,
     alpha_poly,
     baer_partition_check,
     beta_poly,
@@ -376,6 +377,116 @@ def test_orbit_fiber_pass_matches_full_field_pass(pet, data):
     z = next(int(x) for x in fiber if not ctx.in_subfield(ctx.div(int(x), y)))
     assert vf.witness == (y, z)
     assert ctx.div(f(y), y) == v
+
+
+def _fibers_by_expansion(f):
+    """The fiber pass with every class's bin: each orbit representative's
+    bin b is expanded to b*p^(d*i) mod q^n - 1 for i below its class
+    orbit's size, into an array of all R = (q^n - 1)/(q - 1) class bins,
+    which np.unique sorts and counts. (occupied, sizes): the
+    distinct bins ascending, the kernel's q^n - 1 last, and their fiber
+    sizes, q - 1 times their numbers of classes."""
+    ctx = f.ctx
+    M = ctx.mult_order
+    R = M // (ctx.q - 1)
+    d = f.coeff_degree()
+    js, sizes = map(np.concatenate, zip(*ctx.frobenius_orbits("classes", d)))
+    fx = f.eval_vec(ctx.vgen_power(js))
+    b = (ctx.vlog(fx) - js) % M
+    kernel = fx == 0
+    bins = [np.full(int(sizes[kernel].sum()), M, dtype=np.int64)]
+    b, sizes = b[~kernel], sizes[~kernel]
+    for i in range(ctx.en // d):
+        bins.append(b[sizes > i] * pow(ctx.p, d * i, M) % M)
+    occupied, counts = np.unique(np.concatenate(bins), return_counts=True)
+    assert counts.sum() == R
+    return occupied, counts * (ctx.q - 1)
+
+
+def _outputs_by_expansion(f):
+    """n_values, witness, line_values and fiber_histogram from
+    _fibers_by_expansion: the witness is that of 0 when the kernel's fiber
+    is oversized, else of the oversized value of smallest index."""
+    ctx = f.ctx
+    M = ctx.mult_order
+    occupied, sizes = _fibers_by_expansion(f)
+    values = np.where(occupied < M, ctx.vgen_power(occupied), 0)
+    big = occupied[sizes > ctx.q - 1]
+    witness = None
+    if len(big):
+        v = 0 if big[-1] == M else int(ctx.vgen_power(big).min())
+        witness = _witness_in_fiber(ctx, f.matrix() - ctx._mult_matrix(v))
+    hist = Counter(sizes.tolist())
+    return len(occupied), witness, np.sort(values), hist
+
+
+def _baer_by_expansion(ctx, k):
+    """baer_partition_check on the bins of _fibers_by_expansion."""
+    bins = _fibers_by_expansion(build_psi(ctx, k))[0]
+    t, n, N = ctx.t, ctx.n, ctx.mult_order
+    if len(bins) != N // (ctx.q - 1):
+        raise NotScattered(f"psi_{k} is not scattered at q={ctx.q}, t={ctx.t}")
+    s = ctx.q ** t + 1
+    js = np.arange(0, N, s, dtype=np.int64)
+    part_sub = np.unique(js * ((ctx.q ** ((t - k) % n) - 1) % N) % N)
+    part_skew = np.unique((js + s // 2) * ((ctx.q ** (k % n) - 1) % N) % N)
+    inter = bins[bins % s == 0]
+    union = np.union1d(part_sub, part_skew)
+    return BaerReport(k, len(inter), len(part_sub), len(part_skew),
+                      len(np.intersect1d(part_sub, part_skew)) == 0,
+                      bool(np.array_equal(inter, union)))
+
+
+def _expansion_maps(ctx):
+    """Every psi_k, three seeded sparse maps, two maps with kernels of
+    GF(q)-dimension above 1 (x + x^(q^t), whose kernel is W, and 0), the
+    monomials x^(q^i), whose bin orbits can be shorter than their class
+    orbits, and at q = 9 two maps with coefficients in GF(3^2) and in
+    GF(3^4), which have d = 2 and d = 4."""
+    n, t = ctx.n, ctx.t
+    maps = {f"psi_{k}": build_psi(ctx, k) for k in range(1, n)}
+    rng = np.random.default_rng(ctx.order)
+    for _ in range(3):
+        coeffs = [0] * n
+        for slot in rng.choice(n, size=int(rng.integers(2, 4)), replace=False):
+            coeffs[int(slot)] = int(rng.integers(1, ctx.order))
+        maps[f"sparse {coeffs}"] = LinPoly(ctx, coeffs)
+    maps["x + x^(q^t)"] = LinPoly.identity(ctx) + LinPoly.monomial(ctx, 1, t)
+    maps["0"] = LinPoly.zero(ctx)
+    for i in range(n):
+        maps[f"x^(q^{i})"] = LinPoly.monomial(ctx, 1, i)
+    if ctx.q == 9:
+        M = ctx.mult_order
+        maps["GF(3^2) map"] = LinPoly(ctx, [0, ctx.gen_power(M // 8), 0, 1,
+                                            ctx.gen_power(M // 8 * 3), 0])
+        maps["GF(3^4) map"] = LinPoly(ctx, [0, ctx.gen_power(M // 8), 0,
+                                            ctx.gen_power(M // 80 * 7), 1, 0])
+    return maps
+
+
+# every field with tables that the tier-1 run builds
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 1, 5),
+                                 (5, 1, 4), (3, 2, 3), (13, 1, 3)])
+def test_orbit_keyed_fibers_match_the_expansion(pet):
+    ctx = build_field(*pet)
+    R = ctx.mult_order // (ctx.q - 1)
+    maps = _expansion_maps(ctx)
+    assert {f.coeff_degree() for f in maps.values()} >= ({1, 2, 4} if ctx.q == 9 else {1})
+    for label, f in maps.items():
+        n_values, witness, values, hist = _outputs_by_expansion(f)
+        vf = is_scattered_fibers(f)
+        assert (vf.n_values, vf.witness) == (n_values, witness), label
+        assert vf.scattered == (n_values == R), label
+        assert np.array_equal(f.line_values(), values), label
+        assert f.fiber_histogram() == hist, label
+    for k in range(1, ctx.n):
+        try:
+            want = _baer_by_expansion(ctx, k)
+        except NotScattered:
+            with pytest.raises(NotScattered):
+                baer_partition_check(ctx, k)
+            continue
+        assert baer_partition_check(ctx, k).to_json() == want.to_json(), k
 
 
 def _brute_witness(f):

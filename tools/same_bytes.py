@@ -25,7 +25,10 @@ psi:1 against lp-type at (13,3), against psi:5 and pseudoregulus at
 (191,3) and against psi:7 at (3,8), and the moduli smallest_irreducible
 (p, m) for (3,16), (5,10), (7,8), (11,8), (13,6) and (191,6); then the
 idealiser JSON without its field flags, both sides, for every k at
-(3,2,3), and with them for 2*id and a seeded full-support map at (5,3).
+(3,2,3), and with them for 2*id and a seeded full-support map at (5,3);
+then the fiber verdict and `fiber_histogram` of x + x^(q^t), whose kernel
+is W, and of two seeded sparse maps that are not scattered, at (13,3) and
+(5,4).
 New outputs go at the end, so a prefix of the lines keeps its digest as
 the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
@@ -155,6 +158,21 @@ def _lines():
                      (f"full-support map {full}", LinPoly(ctx, full))):
         for side in ("left", "right"):
             yield _idealiser_line(f, side, f"{label} at (5,3)")
+    for name, pet in (("(13,3)", (13, 1, 3)), ("(5,4)", (5, 1, 4))):
+        ctx = build_field(*pet)
+        maps = {"x + x^(q^t)": LinPoly.identity(ctx) + LinPoly.monomial(ctx, 1, ctx.t)}
+        rng = np.random.default_rng(ctx.order)
+        while len(maps) < 3:
+            coeffs = [0] * ctx.n
+            for slot in rng.choice(ctx.n, size=2, replace=False):
+                coeffs[int(slot)] = int(rng.integers(1, ctx.order))
+            f = LinPoly(ctx, coeffs)
+            if not is_scattered_fibers(f).scattered:
+                maps[f"sparse map {coeffs}"] = f
+        for label, f in maps.items():
+            label = f"{label} at {name}"
+            yield f"is_scattered_fibers {label}", _json_sha(is_scattered_fibers(f).to_json())
+            yield f"fiber_histogram {label}", _json_sha(sorted(f.fiber_histogram().items()))
 
 
 def _fiber_lines(f, label):
