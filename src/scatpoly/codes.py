@@ -94,9 +94,12 @@ class RankDistribution:
 def rank_distribution(code: RankCode) -> RankDistribution:
     """Exact distribution from the projective representatives: each class
     (1, b) or (0, 1) contributes q^n - 1 scalings of one rank, plus the
-    zero word. The rank of f + b*id is constant on the sigma_d-orbits of
-    the shifts b (see scattered.shift_orbits), so one shift per orbit is
-    ranked and counted once per element of its orbit."""
+    zero word. The rank of f + b*id is constant on the orbits of the
+    shifts b under sigma_d and, where f.support_coset() gives m > 1, the
+    product by mu_G (see scattered.shift_orbits), so one shift per orbit
+    is ranked, a count-sized batch per kernel call, and counted once per
+    element of its orbit: the orbit's size comes by orbit-stabilizer, the
+    group's order over the number of its elements that fix the shift."""
     if code._dist is None:
         ctx = code.ctx
         tally = np.zeros(ctx.n + 1, dtype=np.int64)

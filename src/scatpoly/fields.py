@@ -21,9 +21,10 @@ Only FieldCtx reads the tables: the scalar fast paths, the eight v-kernels
 and vlog, through which every other module gets omega^j and discrete logs.
 
 FieldCtx.frobenius_orbits is the one orbit driver of the sweeps: slice by
-slice, the smallest element of each orbit of x -> x^(p^d) on the field or
-on the classes omega^j*GF(q)*, with its orbit's size, computed without
-tables and kept on the context.
+slice, the smallest element of each orbit of x -> x^(p^d), with the
+product by the G-th roots of unity on the field or j -> -j on the
+classes omega^j*GF(q)*, and its orbit's size, computed without tables and
+kept on the context.
 
 The tables are four int64 arrays, 32 bytes per element. They are built
 by doubling on the digit planes of omega^j, each step one exact GF(p)
@@ -51,6 +52,10 @@ from .linalg import (digit_planes, mod_p_product, modp_power, modp_rref, plane_i
 TABLE_LIMIT = 1 << 26
 EAGER_LIMIT = 1 << 20  # built at construction up to here: about 0.1 s, and fast scalars
 _SLICE = 1 << 16  # columns per step of the table build
+# orbit filter: images of the remaining entries per block, and the most
+# powers of the second generator in one block
+_ORBIT_IMAGES = 1 << 16
+_ORBIT_BLOCK = 1 << 10
 
 _CTX_CACHE: dict = {}
 
@@ -153,29 +158,36 @@ def _undigits(digs, p: int) -> int:
     return out
 
 
-def _orbit_minima(xs: np.ndarray, state, step, length: int):
-    """(reps, sizes): the entries x of xs with x <= step^i(x) for every
-    0 < i < length, each the smallest of its orbit when step^length is the
-    identity, and the sizes of their orbits, the first i > 0 with
-    step^i(x) = x. state holds xs in the coordinates step acts on, one
-    column per entry on its last axis; step(state) returns the state of
-    the images and their values, which may be the state itself. An entry
-    leaves the batch at the first image below it, so the later steps act
-    on a shrinking remainder.
+def _orbit_minima(xs, state, images, L: int, A: int):
+    """(reps, sizes): the entries x of xs with x <= g(x) for every g in a
+    group {h^a o s^i : i < L, a < A} acting on them, each the smallest of
+    its orbit, and the sizes of their orbits.
 
-    An orbit's size s divides length, and step^i(x) = x exactly when s
-    divides i, so the last such i below length is length - s (or none,
-    when s = length), and s = gcd(that i, length). The sizes are int8,
-    as length is at most e*n."""
-    sizes = np.full(len(xs), length, dtype=np.int8)
-    for i in range(1, length):
-        state, y = step(state)
-        keep = xs <= y
-        y_is_state = y is state
-        xs, sizes, state = xs[keep], sizes[keep], state[..., keep]
-        y = state if y_is_state else y[keep]
-        sizes[y == xs] = i
-    return xs, np.gcd(sizes, length)
+    state holds xs in the coordinates the group acts on, one column per
+    entry on its last axis; images(state, i, a, c) returns the values of
+    h^(a+k)(s^i(x)), k < c, one row each. The images are taken for each
+    i in blocks of powers of h holding about _ORBIT_IMAGES values, and an
+    entry leaves at the first block with an image below it, so the later
+    blocks act on a shrinking remainder.
+
+    The sizes come by orbit-stabilizer. The pairs (i, a) form a group of
+    L*A elements when s^L and h^A are the identity and s o h = h^r o s for
+    some r; it acts through x -> h^a(s^i(x)), possibly with two pairs
+    giving one map, so an orbit has L*A elements divided by the number of
+    pairs that fix x."""
+    order = L * A
+    fixed = np.ones(len(xs), dtype=np.min_scalar_type(order))  # (0, 0) is the identity
+    for i in range(L):
+        a = 0 if i else 1
+        while a < A and len(xs):
+            c = min(A - a, _ORBIT_BLOCK, max(1, _ORBIT_IMAGES // len(xs)))
+            vals = images(state, i, a, c)
+            keep = (xs <= vals).all(axis=0)
+            fixed += (vals == xs).sum(axis=0, dtype=fixed.dtype)
+            if not keep.all():
+                xs, fixed, state = xs[keep], fixed[keep], state[..., keep]
+            a += c
+    return xs, order // fixed
 
 
 # ---------------------------------------------------------------------------
@@ -333,53 +345,78 @@ class FieldCtx:
                                            % self.p for i in range(self.n)])
         return self._action
 
-    def frobenius_orbits(self, space: str, d: int):
+    def frobenius_orbits(self, space: str, d: int, G: int = 1):
         """Yield (reps, sizes) for each slice of linalg.sweep_slices over a
         space that sigma_d: x -> x^(p^d) permutes, d dividing e*n: the
-        entries of the slice that are the smallest of their orbit,
-        ascending, and the sizes of those orbits (_orbit_minima).
+        entries of the slice that are the smallest of their orbit under
+        sigma_d and one more generator of order G, ascending, and the sizes
+        of those orbits (_orbit_minima).
 
-        "shifts" is the field, index order, and sigma_d acts on the
-        digit planes of a slice by its GF(p) matrix (an exact
-        linalg.mod_p_product), with no table read. "classes" is
-        j in [0, R), R = (q^n - 1)/(q - 1), standing for omega^j*GF(q)*:
-        sigma_d maps that class onto the class of j*p^d mod R, taken in
-        int64 with a floor-division reduction. That is exact on [0, R):
-        R = 1 mod p, so multiplication by p^d permutes the residues mod
-        R, and p^(e*n) = 1 mod R. In both spaces e*n/d steps give the
-        identity, so d = e*n keeps everything.
+        "shifts" is the field, index order, and sigma_d acts on the digit
+        planes of a slice by its GF(p) matrix (an exact
+        linalg.mod_p_product), with no table read. G divides q^n - 1, and
+        the other generator is M_zeta, the product by the primitive G-th
+        root of unity zeta = omega^((q^n - 1)/G), also a GF(p) matrix on
+        the planes: sigma_d(zeta*x) = zeta^(p^d)*sigma_d(x), so the group
+        is {zeta^a*sigma_d^i} with G*e*n/d elements.
 
-        The output depends on the field and d alone, so each slice is
+        "classes" is j in [0, R), R = (q^n - 1)/(q - 1), standing for
+        omega^j*GF(q)*: sigma_d maps that class onto the class of
+        j*p^d mod R, taken in int64 with a floor-division reduction. That
+        is exact on [0, R): R = 1 mod p, so multiplication by p^d permutes
+        the residues mod R, and p^(e*n) = 1 mod R. G is 1 or 2, and G = 2
+        adds j -> -j mod R, the class of the inverse. In both spaces e*n/d
+        steps of sigma_d give the identity, so d = e*n with G = 1 keeps
+        everything.
+
+        The output depends on the field, d and G alone, so each slice is
         filtered once per field, when a sweep first reaches it, and kept
-        read-only on the context under (space, d, slice), as the
+        read-only on the context under (space, d, G, slice), as the
         Frobenius matrices are; a sweep that stops early fills only the
         slices it reached."""
         p, en = self.p, self.en
         if d < 1 or en % d:
             raise BadParams(f"d = {d} must divide e*n = {en}")
         if space == "shifts":
+            if G < 1 or self.mult_order % G:
+                raise BadParams(f"G = {G} must divide q^n - 1 = {self.mult_order}")
             total = self.order
-            F = self._frob_matrix(d)
+            zeta = None
 
-            def step(planes):
-                planes = mod_p_product(F, planes, p)
-                return planes, plane_indices(planes, p)
+            def images(planes, i, a, c):
+                # zeta^(a+k)*sigma_d^i(x) by the matrices M_zeta^(a+k) F^i,
+                # with M_zeta^k, k < _ORBIT_BLOCK, made once per sweep
+                nonlocal zeta
+                if zeta is None:
+                    M = self._mult_matrix(self.gen_power(self.mult_order // G))
+                    Z = [np.eye(en, dtype=np.int64)]
+                    for _ in range(min(G, _ORBIT_BLOCK) - 1):
+                        Z.append(M @ Z[-1] % p)
+                    zeta = M, np.array(Z)
+                M, Z = zeta
+                # the powers of M_zeta commute, so the block's matrices are
+                # M_zeta^k W, k < c, with W = M_zeta^a F^i: one product
+                W = modp_power(M, a, p) @ self._frob_matrix(d * i) % p
+                mats = mod_p_product(Z[:c].reshape(-1, en), W, p).reshape(c, en, en)
+                imgs = mod_p_product(mats, planes, p)
+                return plane_indices(np.moveaxis(imgs, 1, 0), p)
         elif space == "classes":
+            if G not in (1, 2):
+                raise BadParams(f"G = {G} on the classes must be 1 or 2 (j -> -j)")
             total = R = self.mult_order // (self.q - 1)
-            g = pow(p, d, R)
 
-            def step(js):
-                js = js * g
+            def images(js, i, a, c):
+                js = js * pow(p, d * i, R)
                 js -= js // R * R
-                return js, js
+                return js[None] if a + c == 1 else np.stack([js, (R - js) % R])[a:a + c]
         else:
             raise BadParams(f"unknown orbit space {space!r}, expected 'shifts' or 'classes'")
         for lo, hi in sweep_slices(total):
-            key = (space, d, lo, hi)
+            key = (space, d, G, lo, hi)
             if key not in self._orbits:
                 xs = np.arange(lo, hi, dtype=np.int64)
                 state = digit_planes(xs, p, en) if space == "shifts" else xs
-                reps, sizes = _orbit_minima(xs, state, step, en // d)
+                reps, sizes = _orbit_minima(xs, state, images, en // d, G)
                 reps.flags.writeable = sizes.flags.writeable = False
                 self._orbits[key] = reps, sizes
             yield self._orbits[key]

@@ -5,6 +5,9 @@ product mod p; batched rank sweeps; small dense solvers.
 Batch routines take numpy int64 arrays of element indices, turn every
 matrix into its GF(p)-matrix and rank the whole batch with one lockstep
 elimination mod p; they read no field tables and never build them.
+sweep_slices cuts a space into the slices the orbit filter works in, and
+orbit_batches regroups the filtered representatives into the batches the
+sweeps rank.
 Scalar routines work on lists of ints, with or without the tables. The modp_*
 routines are plain integer elimination mod a prime, used where systems
 live over GF(p) rather than the big field.
@@ -20,6 +23,11 @@ from .errors import BadParams
 
 # the largest batch any sweep hands the kernel at once
 SLICE = 1 << 16
+# orbit representatives in the first batch of a sweep (orbit_batches), and
+# in each later one: the kernel's time per matrix is least near 2^13
+# matrices at e*n = 8 to 16, and 1.5-1.8 times that at SLICE
+FIRST_BATCH = 1 << 8
+BATCH = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +253,44 @@ def batch_dickson_rank(ctx, coeff_cols: np.ndarray) -> np.ndarray:
 
 
 def sweep_slices(total: int):
-    """Ascending (lo, hi) slices covering range(total) for sweeps that stop
-    at their first hit: 2^8 long at first, doubling up to SLICE, so an early
-    hit is found after a small batch and a full sweep runs in large ones."""
+    """Ascending (lo, hi) slices covering range(total), the units in which
+    FieldCtx.frobenius_orbits filters a space and keeps the result: 2^8
+    long at first, doubling up to SLICE, so a sweep that stops early
+    filters little. The sweeps rank the representatives in batches by
+    count (orbit_batches), not by slice, as a slice keeps only about one
+    entry per orbit."""
     lo, size = 0, 1 << 8
     while lo < total:
         hi = min(lo + size, total)
         yield lo, hi
         lo, size = hi, min(2 * size, SLICE)
+
+
+def orbit_batches(slices):
+    """Regroup the ascending (reps, sizes) slices of
+    FieldCtx.frobenius_orbits into batches by count: FIRST_BATCH
+    representatives, then BATCH at a time, the last batch holding what is
+    left. The batches are ascending, disjoint and cover the stream. A
+    slice is read only when the batch being filled needs it, so a sweep
+    that stops early reads only the slices that its batches took entries
+    from.
+
+    The filter leaves about one entry in e*n/d of a slice, and fewer with
+    a larger group, so the slices alone would hand the kernel small calls,
+    whose cost is mostly per call. The first batch is small for sweeps
+    that stop at once; the later ones are the size at which the kernel
+    ranks fastest."""
+    want, reps, sizes, have = FIRST_BATCH, [], [], 0
+    for r, s in slices:
+        reps.append(r)
+        sizes.append(s)
+        have += len(r)
+        while have >= want:
+            r, s = np.concatenate(reps), np.concatenate(sizes)
+            yield r[:want], s[:want]
+            reps, sizes, have, want = [r[want:]], [s[want:]], have - want, BATCH
+    if have:
+        yield np.concatenate(reps), np.concatenate(sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ rank live here; scatteredness checks build on top in scattered.py."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional
 
@@ -95,6 +96,25 @@ class LinPoly:
             object.__setattr__(self, "_degree", next(
                 d for d in range(1, en + 1) if en % d == 0 and self.frob_twist(d) == self))
         return self._degree
+
+    def support_coset(self):
+        """(m, s): the largest m dividing n with every index i of the
+        support i = s mod m and gcd(s, m) = 1, 0 <= s < m; (1, 0) when no
+        m > 1 qualifies, and for the zero map.
+
+        Then f(lam*x) = lam^(q^s)*f(x) for lam in GF(q^m), so
+        ker(f + c*lam^(q^s - 1)*id) = lam*ker(f + c*id). As lam runs over
+        GF(q^m)*, lam^(q^s - 1) runs over the G-th roots of unity mu_G,
+        G = (q^m - 1)/(q - 1): the rank of f + c*id is constant on each
+        class c*mu_G. Every valid m divides the largest, the lcm of them
+        all."""
+        n, support = self.ctx.n, self.support()
+        for m in range(n, 1, -1):
+            if n % m == 0 and support:
+                s = support[0] % m
+                if math.gcd(s, m) == 1 and all(i % m == s for i in support):
+                    return m, s
+        return 1, 0
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

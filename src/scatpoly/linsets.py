@@ -155,12 +155,13 @@ def inclusion_dickson(f: LinPoly, g: LinPoly) -> bool:
     commutes with both maps, so the map at sigma_d(x) is sigma_d composed
     with the map at x and sigma_d^-1 on Y, and is singular with it. So j
     runs only over the representatives of the sigma_d-orbits of the
-    classes (FieldCtx.frobenius_orbits); a boolean needs no ordering."""
+    classes (FieldCtx.frobenius_orbits), in count-sized batches
+    (linalg.orbit_batches); a boolean needs no ordering."""
     f._check(g)
     ctx = f.ctx
     T = _inclusion_tensor(f, g)
     d = math.lcm(f.coeff_degree(), g.coeff_degree())
-    for js, _ in ctx.frobenius_orbits("classes", d):
+    for js, _ in linalg.orbit_batches(ctx.frobenius_orbits("classes", d)):
         if np.any(linalg.digit_dickson_ranks(ctx, T, ctx.vgen_power(js)) == ctx.n):
             return False
     return True

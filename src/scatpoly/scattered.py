@@ -169,31 +169,41 @@ def shift_ranks(f: LinPoly, ms: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def shift_orbits(f: LinPoly):
-    """Yield (ms, sizes) for each ascending slice of the field
-    (linalg.sweep_slices): the shifts m of the slice that are the smallest
-    of their sigma_d-orbit, ascending, and the sizes of those orbits
-    (FieldCtx.frobenius_orbits over the shifts).
+    """Yield (ms, sizes) for the shifts m of the field in ascending,
+    count-sized batches (linalg.orbit_batches): the shifts that are the
+    smallest of their orbit under the group below, and the sizes of those
+    orbits (FieldCtx.frobenius_orbits over the shifts).
 
     sigma_d is x -> x^(p^d), d = f.coeff_degree(), so it commutes with f:
     sigma_d(f(x) + m*x) = f(sigma_d(x)) + sigma_d(m)*sigma_d(x), and
-    sigma_d maps ker(f + m*id) onto ker(f + sigma_d(m)*id). The rank of
-    f + m*id is therefore constant on each orbit. The orbits depend on
-    the field and d only, so each slice is filtered once per field and
-    then read from the context's memo by every map with the same d."""
-    f.ctx._need_whole_field()
-    yield from f.ctx.frobenius_orbits("shifts", f.coeff_degree())
+    sigma_d maps ker(f + m*id) onto ker(f + sigma_d(m)*id). With
+    (m', s) = f.support_coset() and G = (q^m' - 1)/(q - 1), the rank of
+    f + m*id is also constant on m*mu_G, so the group is generated by
+    sigma_d and the product by a primitive G-th root of unity (G = 1 when
+    m' = 1: sigma_d alone). The rank of f + m*id is therefore constant on
+    each orbit. The orbits depend on the field, d and G only, so each
+    slice is filtered once per field and then read from the context's
+    memo by every map with the same d and G."""
+    ctx = f.ctx
+    ctx._need_whole_field()
+    m, _ = f.support_coset()
+    G = (ctx.q ** m - 1) // (ctx.q - 1)
+    yield from linalg.orbit_batches(ctx.frobenius_orbits("shifts", f.coeff_degree(), G))
 
 
 def is_scattered_ranks(f: LinPoly) -> ScatterVerdict:
     """Test dim ker(f + m*id) <= 1 for every shift m via Dickson ranks.
     Independent of the fiber counter; same verdict contract.
 
-    The rank is constant on the sigma_d-orbits of the shifts (see
-    shift_orbits), so only the smallest shift of each orbit is ranked.
-    The smallest bad shift is the smallest of its orbit, and the sweep
-    ascends, so bad_shift and the witness are those of a sweep over every
-    shift. Stops after the first slice with a violation, so the full sweep
-    cost is paid only on scattered inputs."""
+    The rank is constant on the orbits of the shifts under sigma_d and,
+    for maps whose support lies in one coset s + m'Z prime to m', under
+    the product by mu_G (see shift_orbits and LinPoly.support_coset), so
+    only the smallest shift of each orbit is ranked. The smallest bad
+    shift is the smallest of its orbit, and the sweep ascends, so
+    bad_shift and the witness are those of a sweep over every shift. Each
+    batch of representatives is one kernel call, and the sweep stops after
+    the first batch with a violation, so the full sweep cost is paid only
+    on scattered inputs."""
     ctx = f.ctx
     for ms, _ in shift_orbits(f):
         bad = np.flatnonzero(shift_ranks(f, ms) < ctx.n - 1)
@@ -233,17 +243,21 @@ def nonscattered_witness_search(f: LinPoly) -> Optional[Tuple[int, int]]:
 
     sigma_d: x -> x^(p^d), d = f.coeff_degree(), commutes with f, so
     C_(sigma_d(rho))(sigma_d(x)) = sigma_d(C_rho(x)): rho and sigma_d(rho)
-    = omega^(j*p^d) hit together. So j runs over the representatives of
-    the sigma_d-orbits of the classes j in [0, R) that
-    FieldCtx.frobenius_orbits yields, j = 0 (rho in GF(q)) skipped. The
-    smallest hit is the smallest of its orbit, so the sweep returns the
-    same pair as one over every j. The driver filters a slice only when
-    the sweep first reaches it and keeps it on the context, so a sweep
-    that hits early filters little, and a later fiber pass, witness
-    search or inclusion test with the same d reads the kept slices."""
+    = omega^(j*p^d) hit together. And for every f, rho and rho^-1 hit
+    together: if f(rho*x) = rho*f(x), then f(rho^-1*y) = rho^-1*f(y) with
+    y = rho*x, and rho^-1 = omega^(-j) lies in the class of -j mod R. So
+    j runs over the representatives of the orbits of the classes j in
+    [0, R) under j -> j*p^d and j -> -j that FieldCtx.frobenius_orbits
+    yields (G = 2), in ascending count-sized batches
+    (linalg.orbit_batches), j = 0 (rho in GF(q)) skipped. The smallest hit
+    is the smallest of its orbit, so the sweep returns the same pair as
+    one over every j. The driver filters a slice only when a batch first
+    needs it and keeps it on the context, so a sweep that hits early
+    filters little, and a later witness search with the same d reads the
+    kept slices."""
     ctx = f.ctx
     T = _commutator_tensor(f)
-    for js, _ in ctx.frobenius_orbits("classes", f.coeff_degree()):
+    for js, _ in linalg.orbit_batches(ctx.frobenius_orbits("classes", f.coeff_degree(), 2)):
         rhos = ctx.vgen_power(js[js > 0])
         hit = np.flatnonzero(linalg.digit_dickson_ranks(ctx, T, rhos) < ctx.n)
         if len(hit):

@@ -108,6 +108,17 @@ def test_rank_distribution_matches_the_full_shift_tally(fixture, ds, request, fu
         assert rank_distribution(build_code(f)).counts == _full_tally(ctx, full_shift_ranks(f))
 
 
+@pytest.mark.parametrize("fixture", ["ctx33", "ctx53", "ctx34", "ctx923"])
+def test_rank_distribution_on_cut_maps_matches_the_full_shift_tally(fixture, request,
+                                                                    full_shift_ranks, cut_maps):
+    # the shifts swept by orbits of sigma_d and mu_G, each counted by its
+    # orbit-stabilizer size, against the rank of every shift
+    ctx = request.getfixturevalue(fixture)
+    for label, f in cut_maps(ctx).items():
+        assert rank_distribution(build_code(f)).counts == _full_tally(ctx, full_shift_ranks(f)), \
+            label
+
+
 def test_min_distance_known_values(ctx33, ctx53):
     # single Frobenius maps give classical codes of distance n - 1
     mono = build_code(LinPoly.monomial(ctx33, 1, 1))

@@ -466,20 +466,27 @@ def test_table_build_peak_memory():
 
 # -- Frobenius orbits ----------------------------------------------------------------
 
-def _walk_orbits(perm):
-    """(reps, sizes) of the permutation perm, a list, by walking each orbit
-    from its first unvisited element: every smaller element's orbit has
-    been walked, so that element is its orbit's minimum."""
-    seen = bytearray(len(perm))
+def _walk_orbits(perms):
+    """(reps, sizes) of the group that the permutations perms, lists,
+    generate, by walking each orbit from its first unvisited element
+    through the images under every permutation: every smaller element's
+    orbit has been walked, so that element is its orbit's minimum, and the
+    size is the number of elements the walk visits."""
+    seen = bytearray(len(perms[0]))
     reps, sizes = [], []
-    for x in range(len(perm)):
+    for x in range(len(seen)):
         if seen[x]:
             continue
-        y, size = x, 0
-        while not seen[y]:
-            seen[y] = 1
-            y = perm[y]
-            size += 1
+        seen[x] = 1
+        todo, size = [x], 1
+        while todo:
+            y = todo.pop()
+            for perm in perms:
+                z = perm[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    size += 1
+                    todo.append(z)
         reps.append(x)
         sizes.append(size)
     return reps, sizes
@@ -494,28 +501,57 @@ def _orbit_perm(ctx, space, d):
     return [j * ctx.p ** d % R for j in range(R)]
 
 
+def _extra_perm(ctx, space, G):
+    """The second generator, as a list: on the field the product by
+    zeta = omega^((q^n - 1)/G), by the log tables; on the classes j -> -j."""
+    if space == "shifts":
+        zeta = ctx.gen_power(ctx.mult_order // G)
+        return ctx.vscale(zeta, np.arange(ctx.order, dtype=np.int64)).tolist()
+    R = ctx.mult_order // (ctx.q - 1)
+    return [-j % R for j in range(R)]
+
+
+def _orbit_cases(ctx):
+    """(space, d, G): sigma_d alone for every d on both spaces; j -> -j
+    with every d on the classes; and on the field, for every m > 1
+    dividing n, mu_G with G = (q^m - 1)/(q - 1), with d = 1 and d = e*n
+    (sigma_d the identity), except at q^n > 10^5, where m = 2 and d = 1
+    only (a walk over the field takes seconds)."""
+    ds = [d for d in range(1, ctx.en + 1) if ctx.en % d == 0]
+    cases = [(space, d, 1) for space in ("shifts", "classes") for d in ds]
+    cases += [("classes", d, 2) for d in ds]
+    for m in range(2, ctx.n + 1):
+        if ctx.n % m == 0 and (ctx.order < 10 ** 5 or m == 2):
+            G = (ctx.q ** m - 1) // (ctx.q - 1)
+            cases += [("shifts", d, G) for d in ((1, ctx.en) if ctx.order < 10 ** 5 else (1,))]
+    return cases
+
+
 @pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
 def test_frobenius_orbits_match_walked_orbits(pet):
     ctx = build_field(*pet)
-    for space in ("shifts", "classes"):
+    for space, d, G in _orbit_cases(ctx):
         total = ctx.order if space == "shifts" else ctx.mult_order // (ctx.q - 1)
-        for d in (d for d in range(1, ctx.en + 1) if ctx.en % d == 0):
-            perm = _orbit_perm(ctx, space, d)
-            want_reps, want_sizes = _walk_orbits(perm)
-            slices = list(ctx.frobenius_orbits(space, d))
-            assert len(slices) == len(list(sweep_slices(total)))
-            for (lo, hi), (reps, sizes) in zip(sweep_slices(total), slices):
-                assert ((lo <= reps) & (reps < hi)).all()
-                assert not reps.flags.writeable and not sizes.flags.writeable
-            reps, sizes = map(np.concatenate, zip(*slices))
-            # ascending, each its orbit's minimum with its orbit's size, and
-            # the orbits cover the space
-            assert (np.diff(reps) > 0).all()
-            assert reps.tolist() == want_reps and sizes.tolist() == want_sizes
-            assert sizes.sum() == total and ((ctx.en // d) % sizes == 0).all()
-            perm, image = np.array(perm), reps
-            for _ in range(ctx.en // d - 1):
-                image = perm[image]
+        perm = _orbit_perm(ctx, space, d)
+        perms = [perm] + ([_extra_perm(ctx, space, G)] if G > 1 else [])
+        want_reps, want_sizes = _walk_orbits(perms)
+        slices = list(ctx.frobenius_orbits(space, d, G))
+        assert len(slices) == len(list(sweep_slices(total)))
+        for (lo, hi), (reps, sizes) in zip(sweep_slices(total), slices):
+            assert ((lo <= reps) & (reps < hi)).all()
+            assert not reps.flags.writeable and not sizes.flags.writeable
+        reps, sizes = map(np.concatenate, zip(*slices))
+        # ascending, each its orbit's minimum with its orbit's size, and
+        # the orbits cover the space; each size divides the group's order
+        assert (np.diff(reps) > 0).all()
+        assert reps.tolist() == want_reps, (space, d, G)
+        assert sizes.tolist() == want_sizes, (space, d, G)
+        assert sizes.sum(dtype=np.int64) == total
+        assert ((ctx.en // d * G) % sizes.astype(np.int64) == 0).all()
+        for gen, order in zip(perms, (ctx.en // d, G)):
+            gen, image = np.array(gen), reps
+            for _ in range(order - 1):
+                image = gen[image]
                 assert (image >= reps).all()
 
 
@@ -524,6 +560,10 @@ def test_frobenius_orbits_rejects_bad_arguments(ctx33):
     for space, d in (("classes", 4), ("shifts", 0), ("points", 1)):
         with pytest.raises(BadParams):
             next(ctx.frobenius_orbits(space, d))
+    # G must divide q^n - 1 = 728 on the field, and be 1 or 2 on the classes
+    for space, G in (("shifts", 0), ("shifts", 5), ("classes", 3), ("classes", 0)):
+        with pytest.raises(BadParams):
+            next(ctx.frobenius_orbits(space, 1, G))
 
 
 def test_orbit_memo_matches_a_fresh_context(bare_field):

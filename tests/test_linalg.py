@@ -20,12 +20,15 @@ from scatpoly.linalg import (
     mod_p_product,
     modp_nullspace,
     modp_rref,
+    orbit_batches,
     plane_indices,
     span_indices,
     sweep_slices,
 )
+from scatpoly import linalg
 from scatpoly.linpoly import LinPoly
-from scatpoly.scattered import build_psi, shift_ranks
+from scatpoly.scattered import (build_psi, is_scattered_ranks, nonscattered_witness_search,
+                                shift_ranks)
 
 PROPERTY = settings(max_examples=30)
 
@@ -187,6 +190,64 @@ def test_sweep_slices_ascending_and_doubling():
     sizes = [hi - lo for lo, hi in slices[:-1]]
     assert sizes[:9] == [256 << i for i in range(9)] and set(sizes[8:]) == {1 << 16}
     assert list(sweep_slices(100)) == [(0, 100)] and list(sweep_slices(0)) == []
+
+
+def test_orbit_batches_regroup_by_count():
+    # ascending slices of uneven counts, the empty one included: the
+    # batches are FIRST_BATCH, then BATCH at a time, at most SLICE,
+    # ascending, disjoint and together the whole stream
+    rng = np.random.default_rng(5)
+    counts = [0, 3, 200, 0, 1500, 9000, 70000, 40000, 123]
+    reps, lo = [], 0
+    for c in counts:
+        reps.append(np.sort(rng.choice(np.arange(lo, lo + 4 * c + 1), size=c, replace=False)))
+        lo += 4 * c + 1
+    slices = [(r, r % 7) for r in reps]
+    batches = list(orbit_batches(iter(slices)))
+    sizes = [len(b) for b, _ in batches]
+    want = [linalg.FIRST_BATCH]
+    while sum(want) < sum(counts):
+        want.append(linalg.BATCH)
+    want[-1] -= sum(want) - sum(counts)
+    assert sizes == want and max(sizes) <= linalg.SLICE
+    got = np.concatenate([b for b, _ in batches])
+    assert np.array_equal(got, np.concatenate(reps)) and (np.diff(got) > 0).all()
+    assert np.array_equal(np.concatenate([s for _, s in batches]), got % 7)
+    assert list(orbit_batches(iter([]))) == []
+
+
+def test_orbit_batches_read_only_what_the_first_batch_needs():
+    # a consumer that stops after the first batch has pulled only the
+    # slices up to the one that completes it
+    pulled = []
+
+    def slices():
+        for k in range(100):
+            pulled.append(k)
+            yield np.arange(10 * k, 10 * k + 10), np.ones(10, dtype=np.int8)
+    first, _ = next(orbit_batches(slices()))
+    assert np.array_equal(first, np.arange(linalg.FIRST_BATCH))
+    assert pulled == list(range(-(-linalg.FIRST_BATCH // 10)))
+
+
+def test_sweep_stopping_in_its_first_batch_fills_only_the_slices_it_read(bare_field):
+    # psi_2 at (5, 3) fails at once: the rank checker and the witness
+    # search keep exactly the slices that their first batch took
+    # representatives from, and the rest of the space stays unfiltered
+    ctx = bare_field(5, 1, 3)
+    f = build_psi(ctx, 2)
+    assert is_scattered_ranks(f).bad_shift is not None
+    assert nonscattered_witness_search(f) is not None
+    for space, G in (("shifts", 1), ("classes", 2)):
+        fresh = bare_field(5, 1, 3).frobenius_orbits(space, 1, G)
+        need, seen = 0, 0
+        while seen < linalg.FIRST_BATCH:
+            seen += len(next(fresh)[0])
+            need += 1
+        filled = sorted(key[3:] for key in ctx._orbits if key[:3] == (space, 1, G))
+        total = ctx.order if space == "shifts" else ctx.mult_order // (ctx.q - 1)
+        assert filled == list(sweep_slices(total))[:need]
+        assert need < len(list(sweep_slices(total)))
 
 
 # -- the digit codec ---------------------------------------------------------------

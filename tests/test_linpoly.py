@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,57 @@ def _rand_poly(ctx, rng):
 
 def _samples(ctx, rng, k=40):
     return [int(x) for x in rng.integers(0, ctx.order, size=k)]
+
+
+def _largest_coprime_divisor(n, s):
+    """The largest m dividing n with gcd(s mod m, m) = 1."""
+    return max(m for m in range(1, n + 1) if n % m == 0 and math.gcd(s % m, m) == 1)
+
+
+def test_support_coset_pins(ctx34, ctx923):
+    ctx = ctx34
+    # psi_k with t even and gcd(k, t) = 1 has the all-odd support
+    # {k, t-k, t+k, 2t-k}; psi_2 at t = 4 collapses onto x^(q^2)
+    for k in (1, 3, 5, 7):
+        assert build_psi(ctx, k).support_coset() == (2, 1)
+    assert build_psi(ctx, 2).support() == [2]
+    assert build_psi(ctx, 2).support_coset()[0] == 1
+    assert LinPoly.monomial(ctx, 1, 1).support_coset() == (8, 1)
+    assert LinPoly.zero(ctx).support_coset() == (1, 0)
+    for c in (ctx34, ctx923):
+        for s in range(c.n):
+            m = _largest_coprime_divisor(c.n, s)
+            assert LinPoly.monomial(c, c.omega, s).support_coset() == (m, s % m)
+    # q = 9, n = 6: psi_k at t odd has no coset but psi_t = x^(q^3), odd
+    # support gives m = 2, support {1, 4} gives m = 3, and the identity has
+    # s = 0, so m = 1
+    ctx = ctx923
+    for k in range(1, ctx.n):
+        assert build_psi(ctx, k).support_coset() == ((2, 1) if k == ctx.t else (1, 0))
+    assert LinPoly(ctx, [0, 5, 0, 7, 0, 1]).support_coset() == (2, 1)
+    assert LinPoly(ctx, [0, 5, 0, 0, 7, 0]).support_coset() == (3, 1)
+    assert LinPoly(ctx, [0, 0, 5, 0, 0, 7]).support_coset() == (3, 2)
+    assert LinPoly.identity(ctx).support_coset() == (1, 0)
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 4), (3, 2, 3)])
+def test_support_coset_gives_the_scaling_law(pet):
+    # f(lam*x) = lam^(q^s)*f(x) for lam in GF(q^m): odd-support, sparse and
+    # monomial maps, checked pointwise at lam = the generator of GF(q^m)*
+    ctx = build_field(*pet)
+    rng = np.random.default_rng(ctx.order)
+    maps = [LinPoly.monomial(ctx, int(rng.integers(1, ctx.order)), s) for s in range(ctx.n)]
+    for slots in ((1, 3), (1, 5), (3, 7), (2, 5), (1, 3, 5)):
+        coeffs = [0] * ctx.n
+        for i in slots:
+            if i < ctx.n:
+                coeffs[i] = int(rng.integers(1, ctx.order))
+        maps.append(LinPoly(ctx, coeffs))
+    for f in maps:
+        m, s = f.support_coset()
+        lam = ctx.gen_power(ctx.mult_order // (ctx.q ** m - 1))
+        for x in _samples(ctx, rng, 8):
+            assert f(ctx.mul(lam, x)) == ctx.mul(ctx.frob(lam, s), f(x))
 
 
 def test_constructor_validation(ctx33):

@@ -28,7 +28,11 @@ idealiser JSON without its field flags, both sides, for every k at
 (3,2,3), and with them for 2*id and a seeded full-support map at (5,3);
 then the fiber verdict and `fiber_histogram` of x + x^(q^t), whose kernel
 is W, and of two seeded sparse maps that are not scattered, at (13,3) and
-(5,4).
+(5,4); then the `is_scattered_ranks` JSON, `nonscattered_witness_search`
+and `rank_distribution` of every psi_k and of two seeded maps with odd
+support that are not scattered, at (3,4), (5,4) and (7,4), where the
+shift sweeps cut by mu_(q+1) and the witness search by rho <-> rho^-1
+(psi_2 at (5,4) hits at j = 16276, past the first batch).
 New outputs go at the end, so a prefix of the lines keeps its digest as
 the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
@@ -173,6 +177,23 @@ def _lines():
             label = f"{label} at {name}"
             yield f"is_scattered_fibers {label}", _json_sha(is_scattered_fibers(f).to_json())
             yield f"fiber_histogram {label}", _json_sha(sorted(f.fiber_histogram().items()))
+    for name, pet in (("(3,4)", (3, 1, 4)), ("(5,4)", (5, 1, 4)), ("(7,4)", (7, 1, 4))):
+        ctx = build_field(*pet)
+        maps = {f"psi_{k}": build_psi(ctx, k) for k in range(1, ctx.n)}
+        rng = np.random.default_rng(ctx.order + 1)
+        while len(maps) < ctx.n + 1:
+            coeffs = [0] * ctx.n
+            for slot in rng.choice(range(1, ctx.n, 2), size=2, replace=False):
+                coeffs[int(slot)] = int(rng.integers(1, ctx.order))
+            f = LinPoly(ctx, coeffs)
+            if not is_scattered_fibers(f).scattered:
+                maps[f"odd map {coeffs}"] = f
+        for label, f in maps.items():
+            label = f"{label} at {name}"
+            yield f"is_scattered_ranks {label}", _json_sha(is_scattered_ranks(f).to_json())
+            yield f"nonscattered_witness_search {label}", _json_sha(nonscattered_witness_search(f))
+            yield (f"rank_distribution {label}",
+                   _json_sha(codes.rank_distribution(codes.build_code(f)).to_json()))
 
 
 def _fiber_lines(f, label):
