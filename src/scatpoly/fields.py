@@ -516,7 +516,17 @@ class FieldCtx:
         return self.from_digits(modp_power(self._mult_matrix(a), m, self.p)[:, 0])
 
     def _inv_nt(self, a: int) -> int:
-        return self._pow_nt(a, self.order - 2)
+        # a^-1 = a^(r-1) / N(a) with r = (p^(e*n) - 1)/(p - 1): a^(r-1) is
+        # the product of the conjugates a^(p^i), 0 < i < e*n, and the norm
+        # N(a) = a^r = a * a^(r-1) lies in GF(p), its digits (N(a), 0, ...)
+        p, X, F = self.p, self.x_powers, self._frob_matrix(1)
+        digs = np.array(self.digits(a), dtype=np.int64)
+        conj = acc = F @ digs % p
+        for _ in range(2, self.en):
+            conj = F @ conj % p
+            acc = _contract(acc, X, p) @ conj % p
+        norm = int(_contract(acc, X, p)[0] @ digs % p)
+        return self.from_digits(acc * pow(norm, -1, p) % p)
 
     def _frob_matrix(self, j: int) -> np.ndarray:
         """Matrix of x -> x^(p^j) on GF(p) digit vectors, the j-th power of

@@ -369,17 +369,19 @@ def modp_rref(mat: np.ndarray, p: int):
         if len(rows) == nrows:
             break
         nz = R[:, j] != 0
-        r = int((nz & free).argmax())
-        if not (nz[r] and free[r]):
+        cand = (nz & free).nonzero()[0]
+        if not cand.size:
             continue
+        r = cand[0]
         row = R[r, j:]
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
+        if row[0] != 1:
+            row *= pow(int(row[0]), p - 2, p)
+            row %= p
         nz[r] = free[r] = False
-        others = np.flatnonzero(nz)
+        others = nz.nonzero()[0]
         if others.size:
             sub = R[others, j:]
-            sub -= np.outer(sub[:, 0], row)
+            sub -= sub[:, :1] * row
             sub %= p
             R[others, j:] = sub
         rows.append(r)

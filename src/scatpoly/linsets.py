@@ -18,15 +18,18 @@ quadratic form Q on S. On an affine space v0 + span(U), Q has degree
 2 < p in the coordinates, so it vanishes everywhere iff it vanishes at
 v0, v0 + u_i, v0 + 2*u_i and v0 + u_i + u_j. That test rules a twist
 out, and, applied digit by digit, reads off S the certificate with the
-smallest (b, a). The system is built from the composition matrix L_g
-(LinPoly.left_matrix) and the multiplication matrices M_(F_i), and Q is
-evaluated through M_a, so equivalence needs no field tables and runs
-above TABLE_LIMIT. Every certificate returned is re-verified by explicit
-composition.
+smallest (b, a). The system is assembled from the matrices mono_i of g's
+monomials g_i x^(q^i), contracted once per call from g's digits and
+FieldCtx.action_tensor, and the multiplication matrices M_(F_i), one
+contraction per twist: slot m of g(a*x + b*F(x)) is
+mono_m a + sum_j mono_(m-j) M_(F_j) b. Q is evaluated through M_a, so
+equivalence needs no field tables and runs above TABLE_LIMIT. Every
+certificate returned is re-verified by explicit composition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -221,27 +224,42 @@ class Certificate:
         return g.compose(h) == rhs
 
 
-def _solutions(ctx, L_g: np.ndarray, F: LinPoly) -> np.ndarray:
-    """Basis rows, as the digits of (a, b, c, d), of the GF(p)-space of
-    solutions of g(a*x + b*F(x)) = c*x + d*F(x), F not scalar.
+def _monomial_matrices(g: LinPoly) -> np.ndarray:
+    """(n, e*n, e*n) stack of the GF(p)-matrices mono_i of the monomials
+    g_i x^(q^i), each the contraction of g_i's digits against slot i of
+    FieldCtx.action_tensor; zero where g_i is."""
+    ctx = g.ctx
+    p, en, n = ctx.p, ctx.en, ctx.n
+    digits = np.array([ctx.digits(c) for c in g.coeffs], dtype=np.int64)[:, None]
+    T = ctx.action_tensor().reshape(n, en, en * en)
+    return (digits @ T % p).reshape(n, en, en)
 
-    With X_k the poly_vec coordinates of p^k * x and P_k those of p^k * F,
-    whose slot i is column k of M_i = M_(F_i), slot i of g(a*x + b*F(x)) is
-    G_i [a; b] for the slot blocks G_i of G = L_g [X | P]. The equation
-    reads G_0 [a; b] = c + M_0 d and G_i [a; b] = M_i d for i >= 1. For
-    the first s >= 1 with F_s nonzero, that gives d = D [a; b] and
+
+def _solutions(ctx, mono: np.ndarray, F: LinPoly) -> np.ndarray:
+    """Basis rows, as the digits of (a, b, c, d), of the GF(p)-space of
+    solutions of g(a*x + b*F(x)) = c*x + d*F(x), F not scalar, mono being
+    g's _monomial_matrices.
+
+    With M_i = M_(F_i), slot m of g(a*x + b*F(x)) is G_m [a; b] with
+    G_m = [mono_m | sum_j mono_(m-j) M_j], slot indices mod n: a*x
+    reaches slot m through g_m x^(q^m) alone, and the slot j of b*F(x),
+    M_j b, through g_(m-j) x^(q^(m-j)). The equation reads
+    G_0 [a; b] = c + M_0 d and G_m [a; b] = M_m d for m >= 1. For the
+    first s >= 1 with F_s nonzero, that gives d = D [a; b] and
     c = C [a; b] in closed form, with D = M_(F_s^-1) G_s and
     C = G_0 - M_0 D. So only the 2*e*n digits of (a, b) are eliminated, on
-    the blocks G_i - M_i D for i not in {0, s}, and each nullspace row N
+    the blocks G_m - M_m D for m not in {0, s}, and each nullspace row N
     is lifted to [N, N C^T, N D^T]."""
     p, en, n = ctx.p, ctx.en, ctx.n
     s = next(i for i in range(1, n) if F.coeffs[i])
     # M[i] = M_(F_i) for i < n, and M[n] = M_(F_s^-1)
-    elems = np.array(F.coeffs + (ctx.inv(F.coeffs[s]),), dtype=np.int64)
-    M = linalg.digit_contract(ctx, linalg.mult_tensor(ctx), elems).transpose(2, 0, 1)
-    M = M.astype(np.int64)
-    G = np.concatenate([L_g[:, :en], L_g @ M[:n].reshape(n * en, en)], axis=1)
-    G = G.reshape(n, en, 2 * en) % p
+    digits = np.array([ctx.digits(c) for c in F.coeffs + (ctx.inv(F.coeffs[s]),)],
+                      dtype=np.int64)
+    M = (digits @ linalg.mult_tensor(ctx).reshape(en, en * en) % p).reshape(n + 1, en, en)
+    # the block-circulant product, over the monomials g has
+    live = np.flatnonzero(mono.any(axis=(1, 2)))
+    lag = (np.arange(n) - live[:, None]) % n
+    G = np.concatenate([mono, (mono[live, None] @ M[lag]).sum(0)], axis=2) % p
     D = M[n] @ G[s] % p
     C = (G[0] - M[0] @ D) % p
     rest = [i for i in range(1, n) if i != s]
@@ -249,7 +267,7 @@ def _solutions(ctx, L_g: np.ndarray, F: LinPoly) -> np.ndarray:
     return np.concatenate([N, N @ C.T % p, N @ D.T % p], axis=1)
 
 
-def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
+def _read_certificate(ctx, mono: np.ndarray, F: LinPoly, twist: int
                       ) -> Optional[Certificate]:
     """The invertible M = [[a, b], [c, d]] solving
     g(a*x + b*F(x)) = c*x + d*F(x) with the smallest (b, a) in index order,
@@ -262,7 +280,7 @@ def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
     space left. Each step depends on that affine space only, so the
     certificate does not depend on the basis of S."""
     p, en = ctx.p, ctx.en
-    U = _solutions(ctx, L_g, F)
+    U = _solutions(ctx, mono, F)
     if not len(U):
         return None  # the only solution is the zero matrix
     v0 = np.zeros(4 * en, dtype=np.int64)
@@ -270,12 +288,12 @@ def _read_certificate(ctx, L_g: np.ndarray, F: LinPoly, twist: int
         return None
     # b's digits sit at en..2*en - 1 and a's at 0..en - 1: top down, b first
     for pos in range(2 * en - 1, -1, -1):
-        rows = np.flatnonzero(U[:, pos])
+        rows = U[:, pos].nonzero()[0]
         if len(rows) == 0:
             continue  # this digit is v0[pos] all over the space
         u = U[rows[0]] * pow(int(U[rows[0], pos]), -1, p) % p
         U = np.delete(U, rows[0], axis=0)
-        U = (U - np.outer(U[:, pos], u)) % p
+        U = (U - U[:, pos, None] * u) % p
         v0 = next(w for w in ((v0 + (x - v0[pos]) * u) % p for x in range(p))
                   if _span_has_invertible(ctx, w, U))
     a, b, c, d = linalg.plane_indices(v0.reshape(4, en).T, p).tolist()
@@ -292,12 +310,21 @@ def _span_has_invertible(ctx, v0: np.ndarray, U: np.ndarray) -> bool:
     e_i, at each 2*e_i and at each e_i + e_j. The digits of a*d are M_a
     applied to those of d: sum_(k,c) a_k d_c M_(p^k) e_c."""
     p, en = ctx.p, ctx.en
-    i, j = np.triu_indices(len(U))
+    i, j = _pairs(len(U))
     pts = np.concatenate([v0[None], v0 + U, v0 + U[i] + U[j]]) % p
     a, b, c, d = pts.reshape(-1, 4, en).transpose(1, 0, 2)
     W = a[:, :, None] * d[:, None, :] - b[:, :, None] * c[:, None, :]
     T = linalg.mult_tensor(ctx).transpose(0, 2, 1).reshape(en * en, en)
     return bool((W.reshape(len(pts), -1) @ T % p).any())
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int):
+    """np.triu_indices(k), the index pairs i <= j of k rows, kept per k and
+    read-only."""
+    i, j = np.triu_indices(k)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True
@@ -315,11 +342,11 @@ def subspace_equivalent(f: LinPoly, g: LinPoly, with_automorphisms: bool = True
     ctx = f.ctx
     if not any(f.coeffs[1:]):
         raise BadParams("equivalence search needs a non-scalar map on the left")
-    L_g = g.left_matrix()
+    mono = _monomial_matrices(g)
     # f^(p^j) has period coeff_degree() in j, so the twists below it are
     # the distinct ones
     for j in range(f.coeff_degree() if with_automorphisms else 1):
-        cert = _read_certificate(ctx, L_g, f.frob_twist(j), j)
+        cert = _read_certificate(ctx, mono, f.frob_twist(j) if j else f, j)
         if cert is None:
             continue
         if not cert.verify(f, g):

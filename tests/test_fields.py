@@ -314,9 +314,9 @@ def test_table_free_arithmetic_matches_sympy(pet):
 
 
 def test_inverse_without_tables(ctx33, ctx923):
-    # every nonzero a at (3,3); at q = 9 one no-table inverse, a power by
-    # square and multiply of 12 x 12 matrices, costs about 120-220 us, so
-    # every 29th element stands in for the 531440 of them
+    # every nonzero a at (3,3); at q = 9 one no-table inverse, a product of
+    # 11 conjugates through 12 x 12 matrices, costs about 90 us, so every
+    # 29th element stands in for the 531440 of them
     for ctx, step in ((ctx33, 1), (ctx923, 29)):
         for a in [*range(1, ctx.order, step), ctx.order - 1]:
             assert ctx._inv_nt(a) == ctx.inv(a), a

@@ -445,6 +445,37 @@ def test_modp_rref_matches_textbook_elimination(p):
         assert piv2 == piv and np.array_equal(shuffled, red)
 
 
+@settings(max_examples=60)
+@given(p=st.sampled_from([3, 13, 181]), shape=st.sampled_from(["tall", "wide", "deficient"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_modp_rref_depends_only_on_the_row_space(p, shape, seed):
+    # a row permutation, an invertible mix of the rows and extra rows that
+    # are combinations of them keep the row space, so the reduced form
+    rng = np.random.default_rng(seed)
+    small, big = int(rng.integers(1, 17)), int(rng.integers(17, 49))
+    if shape == "tall":
+        mat = rng.integers(0, p, size=(big, small))
+    elif shape == "wide":
+        mat = rng.integers(0, p, size=(small, big))
+    else:
+        k = int(rng.integers(1, small + 1))
+        mat = rng.integers(0, p, size=(big, k)) @ rng.integers(0, p, size=(k, small)) % p
+    red, piv = modp_rref(mat, p)
+    assert np.array_equal(red[:, piv], np.eye(len(piv), dtype=np.int64))
+    m = len(mat)
+    # unit lower times unit upper triangular: invertible mod p
+    lower = np.tril(rng.integers(0, p, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(m, m)), 1) + np.eye(m, dtype=np.int64)
+    mixed = lower @ (upper @ mat % p) % p
+    extra = rng.integers(0, p, size=(int(rng.integers(1, 9)), m)) @ mat % p
+    for same in (mat[rng.permutation(m)], mixed, np.concatenate([extra, mat])):
+        got, got_piv = modp_rref(same, p)
+        assert got_piv == piv and np.array_equal(got, red)
+    ns = modp_nullspace(mat, p)
+    assert ns.shape == (mat.shape[1] - len(piv), mat.shape[1])
+    assert not (mat @ ns.T % p).any()
+
+
 # -- kernels of GF(p)-matrices on field elements ---------------------------------
 
 

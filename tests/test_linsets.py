@@ -13,6 +13,7 @@ from scatpoly.linpoly import LinPoly, poly_vec
 from scatpoly.linsets import (
     Certificate,
     _inclusion_tensor,
+    _monomial_matrices,
     _read_certificate,
     _solutions,
     _span_has_invertible,
@@ -403,7 +404,7 @@ def test_linear_check_finds_a_general_certificate(ctx33):
         f = LinPoly(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.n)])
         g = _general_pair(ctx, f, 0, 1, 1, 1, m1)
     assert Certificate(0, 1, 1, 1, m1).verify(f, g)
-    cert = _read_certificate(ctx, g.left_matrix(), f, 0)
+    cert = _read_certificate(ctx, _monomial_matrices(g), f, 0)
     assert cert is not None and cert.verify(f, g)
 
 
@@ -498,7 +499,7 @@ def _check_against_search(ctx, data):
         g = _general_pair(ctx, f, data.draw(st.integers(0, ctx.en - 1)),
                           *(data.draw(units) for _ in range(4)))
         assume(g is not None)
-    L_g = g.left_matrix()
+    L_g, mono = g.left_matrix(), _monomial_matrices(g)
     seen, verdicts = set(), []
     for j in range(ctx.en):
         F = f.frob_twist(j)
@@ -513,7 +514,7 @@ def _check_against_search(ctx, data):
         else:
             assume(len(U) <= 8)
             want = _smallest_invertible_solution(ctx, U, j)
-        cert = _read_certificate(ctx, L_g, F, j)
+        cert = _read_certificate(ctx, mono, F, j)
         assert cert == want
         verdicts.append(cert is not None)
     assert any(verdicts) or kind == "sparse"
@@ -555,11 +556,46 @@ def test_closed_form_solutions_match_the_full_system(pet, data):
     else:
         g = _general_pair(ctx, F, 0, *(data.draw(unit) for _ in range(4)))
         assume(g is not None)
-    L_g = g.left_matrix()
-    got, want = _solutions(ctx, L_g, F), _full_system_solutions(ctx, L_g, F)
+    got = _solutions(ctx, _monomial_matrices(g), F)
+    want = _full_system_solutions(ctx, g.left_matrix(), F)
     assert got.shape == want.shape
     assert np.array_equal(linalg.modp_rref(got, ctx.p)[0],
                           linalg.modp_rref(want, ctx.p)[0])
+
+
+@pytest.mark.parametrize("pet", [(3, 1, 3), (5, 1, 3), (3, 1, 4), (3, 2, 3)])
+def test_monomial_solutions_match_the_left_matrix_system(pet):
+    # the monomial stack is L_g's block column 0, and L_g's block (m, j) is
+    # mono_(m-j); the system built from it has the nullspace of the L_g
+    # oracle at every twist, on sparse, full-support and u2 maps, and on
+    # pairs built to be equivalent at a nonzero twist
+    ctx = build_field(*pet)
+    n, en = ctx.n, ctx.en
+    rng = random.Random(ctx.order)
+    delta = next(d for d in range(2, ctx.order) if ctx.norm(d, "q") not in (0, 1))
+    maps = [known_family(ctx, "u2", s=1, delta=delta)]
+    for _ in range(2):
+        coeffs = [0] * n
+        for slot in rng.sample(range(1, n), 2):
+            coeffs[slot] = rng.randrange(1, ctx.order)
+        maps.append(LinPoly(ctx, coeffs))
+        maps.append(LinPoly(ctx, [rng.randrange(1, ctx.order) for _ in range(n)]))
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    for f in maps:
+        tau = rng.randrange(1, en)
+        built = _built_pair(ctx, f, tau, rng.randrange(1, ctx.order), rng.randrange(1, ctx.order))
+        for g in maps + [built]:
+            mono, L_g = _monomial_matrices(g), g.left_matrix()
+            blocks = mono[lag].transpose(0, 2, 1, 3).reshape(n * en, n * en)
+            assert np.array_equal(blocks, L_g)
+            for j in range(en):
+                F = f.frob_twist(j)
+                got, want = _solutions(ctx, mono, F), _full_system_solutions(ctx, L_g, F)
+                assert got.shape == want.shape
+                assert np.array_equal(linalg.modp_rref(got, ctx.p)[0],
+                                      linalg.modp_rref(want, ctx.p)[0])
+        # diag(1/lam, mu) solves the built pair at its twist
+        assert len(_solutions(ctx, _monomial_matrices(built), f.frob_twist(tau)))
 
 
 def test_certificates_above_the_old_budget(ctx923):

@@ -9,6 +9,12 @@ keeps the class orbits; and the warm time of scattered.is_scattered_ranks
 and scattered.nonscattered_witness_search of psi_1 at (5,3), (3,4) and
 (5,4), best of 7 calls after one that keeps the orbits, with the number of
 linalg._modp_ranks calls each makes, counted by a wrapper in this script.
+Then, for the equivalence layer, the time per linsets.subspace_equivalent
+decision, best of 7 passes, over 100 seeded pairs psi_1 ~ u2(s, delta) at
+(3,4), and over 18 seeded built pairs g = mu*f^tau(lam*x), six each at
+(3,3), (5,3) and (3,4), f with two nonzero coefficients; and the rate of
+linalg.modp_rref, in matrices per second, on 100 seeded 48 x 16 matrices
+mod 3, the shape of one u2 system at (3,4).
 
     PYTHONPATH=<tree>/src python3 tools/kernel_rate.py
 
@@ -23,6 +29,8 @@ import numpy as np
 
 from scatpoly import linalg
 from scatpoly.fields import build_field
+from scatpoly.linpoly import LinPoly
+from scatpoly.linsets import known_family, subspace_equivalent
 from scatpoly.scattered import (build_psi, is_scattered_fibers, is_scattered_ranks,
                                 nonscattered_witness_search)
 
@@ -77,6 +85,40 @@ def main():
             print(f"sweeps ({p},{t}): " + ", ".join(line), flush=True)
     finally:
         linalg._modp_ranks = ranks
+    _equivalence_rates()
+
+
+def _decision_time(pairs):
+    """The least time per decision of REPEATS passes over pairs."""
+    return _best(lambda: [subspace_equivalent(f, g) for f, g in pairs]) / len(pairs)
+
+
+def _equivalence_rates():
+    ctx = build_field(3, 1, 4)
+    rng = np.random.default_rng(34)
+    psi1 = build_psi(ctx, 1)
+    u2 = []
+    while len(u2) < 100:
+        delta = int(rng.integers(2, ctx.order))
+        if ctx.norm(delta, "q") not in (0, 1):
+            s = int(rng.choice([1, 3, 5, 7]))
+            u2.append((psi1, known_family(ctx, "u2", s=s, delta=delta)))
+    built = []
+    for p, t in ((3, 3), (5, 3), (3, 4)):
+        ctx = build_field(p, 1, t)
+        for _ in range(6):
+            coeffs = [0] * ctx.n
+            for slot in rng.choice(range(1, ctx.n), size=2, replace=False):
+                coeffs[int(slot)] = int(rng.integers(1, ctx.order))
+            f = LinPoly(ctx, coeffs)
+            lam, mu = (int(c) for c in rng.integers(1, ctx.order, size=2))
+            g = f.frob_twist(int(rng.integers(ctx.en))).compose(LinPoly.monomial(ctx, lam, 0))
+            built.append((f, g.scale(mu)))
+    print(f"equivalence: {_decision_time(u2) * 1e6:.0f} us per psi_1 ~ u2 decision at (3,4), "
+          f"{_decision_time(built) * 1e6:.0f} us per built-pair decision", flush=True)
+    mats = rng.integers(0, 3, size=(100, 48, 16))
+    best = _best(lambda: [linalg.modp_rref(m, 3) for m in mats])
+    print(f"modp_rref 48 x 16 mod 3: {len(mats) / best:.0f} matrices/s", flush=True)
 
 
 if __name__ == "__main__":

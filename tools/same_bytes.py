@@ -32,7 +32,12 @@ is W, and of two seeded sparse maps that are not scattered, at (13,3) and
 and `rank_distribution` of every psi_k and of two seeded maps with odd
 support that are not scattered, at (3,4), (5,4) and (7,4), where the
 shift sweeps cut by mu_(q+1) and the witness search by rho <-> rho^-1
-(psi_2 at (5,4) hits at j = 16276, past the first batch).
+(psi_2 at (5,4) hits at j = 16276, past the first batch); then the
+`subspace_equivalent` certificates of seeded pairs at (3,3), (5,3),
+(3,4) and (3,2,3): g = mu*f^tau(lam*x), and g = (c + d*F) o (a + b*F)^-1
+with F = f^tau and b nonzero, for tau nonzero, f sparse or of full
+support; and of psi_1 against u2(s, delta) for 20 seeded (s, delta) at
+(3,4).
 New outputs go at the end, so a prefix of the lines keeps its digest as
 the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
@@ -51,6 +56,7 @@ import numpy as np
 from scatpoly import cli, codes, linalg
 from scatpoly.fields import build_field, smallest_irreducible
 from scatpoly.linpoly import LinPoly
+from scatpoly.linsets import known_family, subspace_equivalent
 from scatpoly.scattered import (_commutator_tensor, baer_partition_check, build_psi,
                                 is_scattered_fibers, is_scattered_ranks,
                                 nonscattered_witness_search, shift_ranks)
@@ -194,6 +200,56 @@ def _lines():
             yield f"nonscattered_witness_search {label}", _json_sha(nonscattered_witness_search(f))
             yield (f"rank_distribution {label}",
                    _json_sha(codes.rank_distribution(codes.build_code(f)).to_json()))
+    for name, pet in (("(3,3)", (3, 1, 3)), ("(5,3)", (5, 1, 3)), ("(3,4)", (3, 1, 4)),
+                      ("(3,2,3)", (3, 2, 3))):
+        ctx = build_field(*pet)
+        rng = np.random.default_rng(ctx.order + 3)
+
+        def unit():
+            return int(rng.integers(1, ctx.order))
+        pairs = 0
+        while pairs < 6:
+            coeffs = [unit() for _ in range(ctx.n)]
+            if pairs % 2 == 0:
+                coeffs = [0] * ctx.n
+                for slot in rng.choice(range(1, ctx.n), size=2, replace=False):
+                    coeffs[int(slot)] = unit()
+            f, tau = LinPoly(ctx, coeffs), int(rng.integers(1, ctx.en))
+            F = f.frob_twist(tau)
+            if pairs < 3:
+                lam, mu = unit(), unit()
+                g, label = F.compose(LinPoly.monomial(ctx, lam, 0)).scale(mu), f"lam={lam} mu={mu}"
+            else:
+                a, b, c, d = (unit() for _ in range(4))
+                h = LinPoly.monomial(ctx, a, 0) + F.scale(b)
+                if ctx.mul(a, d) == ctx.mul(b, c) or h.rank() < ctx.n:
+                    continue
+                g = (LinPoly.monomial(ctx, c, 0) + F.scale(d)).compose(_inverse(h))
+                label = f"M={[[a, b], [c, d]]}"
+            pairs += 1
+            cert = subspace_equivalent(f, g)
+            yield (f"subspace_equivalent {list(coeffs)} tau={tau} {label} at {name}",
+                   _json_sha(None if cert is None else cert.to_json()))
+    ctx = build_field(3, 1, 4)
+    rng = np.random.default_rng(ctx.order + 4)
+    psi1 = build_psi(ctx, 1)
+    for _ in range(20):
+        s = int(rng.choice([1, 3, 5, 7]))
+        delta = int(rng.integers(2, ctx.order))
+        while ctx.norm(delta, "q") in (0, 1):
+            delta = int(rng.integers(2, ctx.order))
+        cert = subspace_equivalent(psi1, known_family(ctx, "u2", s=s, delta=delta))
+        yield (f"subspace_equivalent psi_1 u2({s}, {delta}) at (3,4)",
+               _json_sha(None if cert is None else cert.to_json()))
+
+
+def _inverse(h):
+    """h^-1 for an invertible q-polynomial h: the l with (l o h)_m =
+    sum_i l_i * h_(m-i)^(q^i) = [m == 0], solved over the field."""
+    ctx, n = h.ctx, h.ctx.n
+    rows = [[ctx.frob(h.coeffs[(m - i) % n], i) for i in range(n)] + [int(m == 0)]
+            for m in range(n)]
+    return LinPoly(ctx, [row[n] for row in linalg.field_rref(ctx, rows)[0]])
 
 
 def _fiber_lines(f, label):
