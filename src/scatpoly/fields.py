@@ -5,9 +5,11 @@ GF(p) in little-endian base-p order: the element sum(c_i * x^i) has index
 sum(c_i * p^i). Index 0 is the zero element, indices below p are the
 prime-field scalars.
 
-Fields up to 2^26 elements get full discrete-log tables (exp, log, Zech,
-q-Frobenius) for the vectorized numpy kernels, built on first use (up to
-2^20 elements, at construction). Without them, arithmetic runs on one
+Fields up to 2^26 elements get int32 discrete-log tables, exp and log,
+for the vectorized numpy kernels, built on first use (up to 2^20
+elements, at construction); the Zech logs and the q-Frobenius
+permutation, read only by vadd/vsub and vfrob, are built from them when
+first read. Without the tables, arithmetic runs on one
 representation, the GF(p) matrices on digit vectors: FieldCtx.x_powers
 holds M_(x^d), the powers of the modulus's companion matrix, for
 d < e*n; M_a is the digit contraction of a against it, and products,
@@ -19,6 +21,9 @@ indices fit int64.
 Only FieldCtx reads the tables: the scalar fast paths, the eight v-kernels
 (vadd, vneg, vsub, vmul, vscale, vinv, vfrob, vpow_int), and vgen_power
 and vlog, through which every other module gets omega^j and discrete logs.
+Each read is widened to int64 before any arithmetic on it, as a log
+times an exponent or p^j overflows int32, and every one of those calls
+returns int64.
 
 FieldCtx.frobenius_orbits is the one orbit driver of the sweeps: slice by
 slice, the smallest element of each orbit of x -> x^(p^d), with the
@@ -26,17 +31,21 @@ product by the G-th roots of unity on the field or j -> -j on the
 classes omega^j*GF(q)*, and its orbit's size, computed without tables and
 kept on the context.
 
-The tables are four int64 arrays, 32 bytes per element. They are built
-by doubling on the digit planes of omega^j, each step one exact GF(p)
-product (linalg.mod_p_product, which states why it is exact). Building them
-peaks at max(32, e*n + 17) bytes per element plus a few MB of slice
-buffers; on one core of a 2-core x86 box GF(13^6) (4.8M elements) takes
-about 0.45 s, GF(5^10) (9.8M) about 1.4 s and GF(3^16) (43M) about 10 s
-at a peak RSS of 1.43 GB.
+exp and log are two int32 arrays, 8 bytes per element (TABLE_LIMIT <
+2^31, so every index and log fits). They are built by doubling on the
+digit planes of omega^j, each step one exact GF(p) product
+(linalg.mod_p_product, which states why it is exact). Building them
+peaks at e*n + 4 bytes per element (the int8 planes and exp) plus a few
+MB of slice buffers; on one core of a 2-core x86 box GF(13^6) (4.8M
+elements) takes 0.15-0.18 s at 10 bytes per element, GF(5^10) (9.8M)
+0.53-0.63 s at 14, and GF(3^16) (43M), with a cold fiber verdict, 7.6 s
+at a peak RSS of 915 MB. The Zech and Frobenius tables add 4 bytes per
+element each when read.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -286,9 +295,10 @@ class FieldCtx:
         # V[:, b:2b] = A^b V[:, :b] mod p with A the matrix of y -> omega*y
         # and A^b squared at each step, one exact product
         # (linalg.mod_p_product) per slice of 2^16 columns.
-        # Peak: the planes (e*n bytes per element) with exp and 1 + omega^k
-        # (8 each), then at most four int64 arrays of the field's size, so
-        # max(32, e*n + 17) bytes per element plus the slice buffers.
+        # exp and log are int32 (TABLE_LIMIT < 2^31 bounds every index and
+        # log), exp read off the planes straight into int32 and log made
+        # after the planes are freed, so the build peaks at the planes and
+        # exp, e*n + 4 bytes per element, plus the slice buffers.
         p, en, order, M = self.p, self.en, self.order, self.mult_order
         V = np.zeros((en, M), dtype=np.int8)
         V[0, 0] = 1
@@ -301,33 +311,48 @@ class FieldCtx:
                 V[:, lo:top] = mod_p_product(A, V[:, lo - b:top - b], p)
             A = A @ A % p
             b *= 2
-        exp = plane_indices(V, p)
-        # 1 + omega^k: add one to digit 0, which wraps from p - 1 to 0
-        one_plus = exp + 1
-        np.subtract(one_plus, p, out=one_plus, where=V[0] == p - 1)
+        exp = plane_indices(V, p, np.int32)
         del V
         # exp is a bijection onto 1..order-1 exactly when its values lie in
         # that range and every one of them receives a log
-        log = np.full(order, -1, dtype=np.int64)
+        log = np.full(order, -1, dtype=np.int32)
         ok = exp[0] == 1 and exp.min() >= 1 and exp.max() < order
         if ok:
-            log[exp] = np.arange(M, dtype=np.int64)
+            for lo in range(0, M, _SLICE):
+                log[exp[lo:lo + _SLICE]] = np.arange(lo, min(lo + _SLICE, M), dtype=np.int32)
             ok = (log[1:] >= 0).all()
         if not ok:
             raise RuntimeError("generator table construction failed")
-        # Zech logs: zech[k] = log(1 + omega^k), -1 where the sum is zero
-        zech = log[one_plus]
-        del one_plus
-        # q-Frobenius as a permutation table on element indices,
-        # frob[x] = omega^(q * log x), gathered one slice at a time
-        frob = np.empty(order, dtype=np.int64)
-        for lo in range(0, order, _SLICE):
-            k = log[lo:lo + _SLICE] * self.q
-            k %= M
-            frob[lo:lo + _SLICE] = exp[k]
-        frob[0] = 0
-        self._exp, self._log, self._zech, self._frob_q = exp, log, zech, frob
+        self._exp, self._log = exp, log
         self.has_tables = True
+
+    @functools.cached_property
+    def _zech(self) -> np.ndarray:
+        """Zech logs, int32, built from exp and log on first read:
+        zech[k] = log(1 + omega^k), -1 where the sum is zero."""
+        self._need_tables()
+        p, M = self.p, self.mult_order
+        zech = np.empty(M, dtype=np.int32)
+        for lo in range(0, M, _SLICE):
+            # 1 + omega^k: add one to digit 0, which wraps from p - 1 to 0
+            one_plus = self._exp[lo:lo + _SLICE] + 1
+            one_plus[one_plus % p == 0] -= p
+            zech[lo:lo + _SLICE] = self._log[one_plus]
+        return zech
+
+    @functools.cached_property
+    def _frob_q(self) -> np.ndarray:
+        """q-Frobenius as an int32 permutation table on element indices,
+        frob[x] = omega^(q * log x), built from exp and log on first read."""
+        self._need_tables()
+        M = self.mult_order
+        frob = np.empty(self.order, dtype=np.int32)
+        for lo in range(0, self.order, _SLICE):
+            k = self._log[lo:lo + _SLICE].astype(np.int64) * self.q
+            k %= M
+            frob[lo:lo + _SLICE] = self._exp[k]
+        frob[0] = 0
+        return frob
 
     def _mult_matrix(self, a: int) -> np.ndarray:
         """Matrix M_a of y -> a*y on GF(p) digit vectors: the digit
@@ -466,14 +491,14 @@ class FieldCtx:
         if a == 0 or b == 0:
             return 0
         if self.has_tables:
-            return int(self._exp[(self._log[a] + self._log[b]) % self.mult_order])
+            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % self.mult_order])
         return self._mul_nt(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self.has_tables:
-            return int(self._exp[-self._log[a] % self.mult_order])
+            return int(self._exp[-int(self._log[a]) % self.mult_order])
         return self._inv_nt(a)
 
     def div(self, a: int, b: int) -> int:
@@ -488,7 +513,7 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no inverse")
         m %= self.mult_order
         if self.has_tables:
-            return int(self._exp[self._log[a] * m % self.mult_order])
+            return int(self._exp[int(self._log[a]) * m % self.mult_order])
         return self._pow_nt(a, m)
 
     def frob(self, a: int, k: int = 1) -> int:
@@ -502,7 +527,7 @@ class FieldCtx:
         j %= self.en
         if self.has_tables:
             M = self.mult_order
-            return int(self._exp[self._log[a] * pow(self.p, j, M) % M])
+            return int(self._exp[int(self._log[a]) * pow(self.p, j, M) % M])
         digs = self._frob_matrix(j) @ np.array(self.digits(a), dtype=np.int64) % self.p
         return self.from_digits(digs)
 
@@ -610,22 +635,31 @@ class FieldCtx:
             raise FieldTooLarge(f"whole-field passes need at most {TABLE_LIMIT} "
                                 f"elements (field has {self.order})")
 
+    def _exps(self, ks) -> np.ndarray:
+        """omega^k as int64 for an array of k in [0, q^n - 1)."""
+        return self._exp[ks].astype(np.int64)
+
+    def _logs(self, a) -> np.ndarray:
+        """The logs of the elements a as int64, -1 at 0: the table is int32,
+        so sums and products of logs are taken after this widening."""
+        return self._log[a].astype(np.int64)
+
     def vgen_power(self, js) -> np.ndarray:
         """omega^j for an int64 array of exponents j (taken mod q^n - 1)."""
         self._need_tables()
-        return self._exp[np.mod(js, self.mult_order)]
+        return self._exps(np.mod(js, self.mult_order))
 
     def vlog(self, a: np.ndarray) -> np.ndarray:
         """Discrete logs to base omega of the elements a, -1 at 0."""
         self._need_tables()
-        return self._log[a]
+        return self._logs(a)
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._need_tables()
         M = self.mult_order
-        la, lb = self._log[a], self._log[b]
+        la, lb = self._logs(a), self._logs(b)
         d = (lb - la) % M
-        s = self._exp[(la + self._zech[d]) % M]
+        s = self._exps((la + self._zech[d]) % M)
         out = np.where(d == M // 2, 0, s)
         out = np.where(b == 0, a, out)
         return np.where(a == 0, b, out)
@@ -633,14 +667,14 @@ class FieldCtx:
     def vneg(self, a: np.ndarray) -> np.ndarray:
         self._need_tables()
         M = self.mult_order
-        return np.where(a == 0, 0, self._exp[(self._log[a] + M // 2) % M])
+        return np.where(a == 0, 0, self._exps((self._logs(a) + M // 2) % M))
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._need_tables()
-        prod = self._exp[(self._log[a] + self._log[b]) % self.mult_order]
+        prod = self._exps((self._logs(a) + self._logs(b)) % self.mult_order)
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
@@ -648,20 +682,20 @@ class FieldCtx:
         if c == 0:
             return np.zeros_like(a)
         lc = int(self._log[c])
-        return np.where(a == 0, 0, self._exp[(self._log[a] + lc) % self.mult_order])
+        return np.where(a == 0, 0, self._exps((self._logs(a) + lc) % self.mult_order))
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
         self._need_tables()
         if np.any(a == 0):
             raise ZeroDivisionError("0 has no inverse")
-        return self._exp[-self._log[a] % self.mult_order]
+        return self._exps(-self._logs(a) % self.mult_order)
 
     def vfrob(self, a: np.ndarray, k: int = 1) -> np.ndarray:
         self._need_tables()
         out = a
         for _ in range(k % self.n):
             out = self._frob_q[out]
-        return out
+        return out.astype(np.int64, copy=False)
 
     def vpow_int(self, a: np.ndarray, m: int) -> np.ndarray:
         """Entrywise a^m for a fixed integer exponent; 0^m = 0 (m > 0)."""
@@ -669,7 +703,7 @@ class FieldCtx:
         m %= self.mult_order
         if m == 0:
             return np.where(a == 0, 0, 1)
-        return np.where(a == 0, 0, self._exp[self._log[a] * m % self.mult_order])
+        return np.where(a == 0, 0, self._exps(self._logs(a) * m % self.mult_order))
 
 
 def build_field(p: int, e: int, t: int, modulus=None) -> FieldCtx:

@@ -46,13 +46,14 @@ def digit_planes(vals, p: int, en: int, dtype=np.float32) -> np.ndarray:
     return out
 
 
-def plane_indices(planes: np.ndarray, p: int) -> np.ndarray:
-    """The int64 element indices whose digit planes, lowest first, are
-    planes[d], integral in any dtype: the inverse of digit_planes."""
-    out = np.array(planes[-1], dtype=np.int64)
+def plane_indices(planes: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
+    """The element indices whose digit planes, lowest first, are planes[d],
+    integral in any dtype: the inverse of digit_planes. They are computed
+    in dtype, which must hold every index."""
+    out = np.array(planes[-1], dtype=dtype)
     for plane in planes[-2::-1]:
         out *= p
-        np.add(out, plane, out=out, casting="unsafe", dtype=np.int64)
+        np.add(out, plane, out=out, casting="unsafe", dtype=dtype)
     return out
 
 

@@ -16,8 +16,8 @@ from scatpoly.fields import (FieldCtx, FieldSpec, _SLICE, build_field, is_irredu
 from scatpoly.linalg import sweep_slices
 from scatpoly.linpoly import LinPoly
 from scatpoly.linsets import subspace_equivalent, valid_u2_deltas
-from scatpoly.scattered import (build_psi, is_scattered_fibers, is_scattered_ranks,
-                                nonscattered_witness_search)
+from scatpoly.scattered import (baer_partition_check, build_psi, is_scattered_fibers,
+                                is_scattered_ranks, nonscattered_witness_search)
 
 
 def test_parameter_validation():
@@ -364,9 +364,10 @@ def test_frob_table_is_frobenius_matrix(ctx33, ctx923):
 
 
 def test_tables_built_on_first_use(ctx33, ctx923, bare_field):
-    # fields up to 2^20 elements build their tables at construction, larger
-    # ones not; passes that read no table leave them unbuilt, and the first
-    # orbit sweep builds the four arrays, the same as at construction
+    # fields up to 2^20 elements build exp and log at construction, larger
+    # ones not; passes that read no table leave them unbuilt, the first
+    # orbit sweep builds them, and the Zech and Frobenius tables are built
+    # when read, all four the same as on a field built eagerly
     assert ctx923.order <= 1 << 20 and ctx923.has_tables
     assert not FieldCtx(FieldSpec(13, 1, 3)).has_tables
     bare = bare_field(3, 1, 3)
@@ -392,6 +393,78 @@ def test_tables_refused_above_the_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20 and not ctx.has_tables and not hasattr(ctx, "_exp")
+    # the lazily built tables check the limit before they allocate too
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldTooLarge):
+            ctx._zech
+        with pytest.raises(FieldTooLarge):
+            ctx._frob_q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and not {"_zech", "_frob_q"} & set(vars(ctx))
+
+
+def test_table_build_makes_exp_and_log_only(bare_field):
+    # the build makes two int32 tables, 8 bytes per element, and peaks at
+    # the digit planes and exp, e*n + 4 bytes per element: the bound leaves
+    # 4 more and 2 MB for the slice buffers of the doubling
+    ctx = bare_field(5, 1, 4)
+    tracemalloc.start()
+    try:
+        ctx._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (ctx.en + 8) * ctx.order + (2 << 20), peak / ctx.order
+    assert ctx._exp.dtype == ctx._log.dtype == np.int32
+    # the sweeps read exp and log alone, so the Zech logs and the
+    # q-Frobenius permutation stay unbuilt
+    f = build_psi(ctx, 1)
+    assert is_scattered_fibers(f).scattered
+    assert nonscattered_witness_search(f) is None
+    assert baer_partition_check(ctx, 1).ok
+    assert not {"_zech", "_frob_q"} & set(vars(ctx))
+
+
+@pytest.mark.parametrize("pet", [(13, 1, 3), (5, 1, 4), (3, 2, 3)])
+def test_int32_table_reads_do_not_wrap(pet):
+    # logs reach q^n - 2 in int32, so log*m and log*p^j wrap unless they
+    # are widened first: every fast path against the arithmetic that reads
+    # no table, at exponents near q^n - 1 and every Frobenius power
+    ctx = build_field(*pet)
+    ctx._need_tables()
+    p, M = ctx.p, ctx.mult_order
+    rng = np.random.default_rng(ctx.order)
+    elems = [1, ctx.omega, ctx.order - 1, *(int(a) for a in rng.integers(2, ctx.order, 12))]
+    exps = [M - 1, M - 2, M + 1, 2 * M - 3, *(ctx.q**k - 1 for k in range(1, ctx.n + 1)),
+            *(int(m) for m in rng.integers(M // 2, M, 4))]
+    for a in elems:
+        b = int(rng.integers(1, ctx.order))
+        assert ctx.mul(a, b) == ctx._mul_nt(a, b), (a, b)
+        assert ctx.inv(a) == ctx._inv_nt(a), a
+        for m in exps:
+            assert ctx.pow_(a, m) == ctx._pow_nt(a, m), (a, m)
+        for j in range(ctx.en):
+            want = ctx.from_digits(ctx._frob_matrix(j) @ np.array(ctx.digits(a)) % p)
+            assert ctx.frob_p(a, j) == want, (a, j)
+    xs = np.concatenate([[0, 1, ctx.order - 1], rng.integers(0, ctx.order, 61)])
+    nz = xs[xs != 0]
+    for m in exps[:6]:
+        want = [0 if x == 0 else ctx._pow_nt(int(x), m) for x in xs]
+        assert ctx.vpow_int(xs, m).tolist() == want, m
+    for c in (ctx.omega, ctx.order - 1, int(rng.integers(2, ctx.order))):
+        assert ctx.vscale(c, xs).tolist() == [ctx._mul_nt(c, int(x)) for x in xs], c
+    ppow = p ** np.arange(ctx.en, dtype=np.int64)
+    for k in range(1, ctx.n):
+        images = ctx._frob_matrix(ctx.e * k) @ (xs // ppow[:, None] % p) % p
+        assert np.array_equal(ctx.vfrob(xs, k), ppow @ images), k
+    js = rng.integers(0, 2 * M, 64)
+    outs = [ctx.vgen_power(js), ctx.vlog(nz), ctx.vadd(xs, xs[::-1]), ctx.vneg(xs),
+            ctx.vsub(xs, xs[::-1]), ctx.vmul(xs, xs[::-1]), ctx.vscale(ctx.omega, xs),
+            ctx.vinv(nz), ctx.vfrob(xs, 1), ctx.vpow_int(xs, M - 1), ctx.vpow_int(xs, 0)]
+    assert [out.dtype for out in outs] == [np.dtype(np.int64)] * len(outs)
 
 
 def test_table_reads(ctx33, ctx923, bare_field):
@@ -429,7 +502,8 @@ def test_whole_field_reads_refused_above_the_limit():
 def test_only_fields_reads_the_tables():
     # the table format is known to fields.py alone: no other module of the
     # package touches the arrays or the calls that build them
-    private = {"_exp", "_log", "_zech", "_frob_q", "_need_tables", "_build_tables"}
+    private = {"_exp", "_log", "_zech", "_frob_q", "_exps", "_logs", "_need_tables",
+               "_build_tables"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "scatpoly"
     found = []
     for path in sorted(src.glob("*.py")):
@@ -451,9 +525,9 @@ def test_build_rejects_non_generator(bare_field):
 
 
 def test_table_build_peak_memory():
-    # the four int64 tables are 32 bytes per element; the build may add at
-    # most 32 more of transients (tracemalloc counts allocations, so the
-    # peak does not depend on timing)
+    # construction, the eager build of exp and log included, stays under 32
+    # bytes per element (tracemalloc counts allocations, so the peak does
+    # not depend on timing)
     for key in ((5, 1, 4), (3, 2, 3)):
         tracemalloc.start()
         try:
@@ -461,7 +535,7 @@ def test_table_build_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * ctx.order, (key, peak / ctx.order)
+        assert peak <= 32 * ctx.order, (key, peak / ctx.order)
 
 
 # -- Frobenius orbits ----------------------------------------------------------------

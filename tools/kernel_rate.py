@@ -14,7 +14,10 @@ decision, best of 7 passes, over 100 seeded pairs psi_1 ~ u2(s, delta) at
 (3,4), and over 18 seeded built pairs g = mu*f^tau(lam*x), six each at
 (3,3), (5,3) and (3,4), f with two nonzero coefficients; and the rate of
 linalg.modp_rref, in matrices per second, on 100 seeded 48 x 16 matrices
-mod 3, the shape of one u2 system at (3,4).
+mod 3, the shape of one u2 system at (3,4). Last, for the tables, the
+cold FieldCtx._build_tables time at (13,3) and (5,5), best of 3 fresh
+contexts, and its tracemalloc peak in bytes per element, taken on a
+fourth context.
 
     PYTHONPATH=<tree>/src python3 tools/kernel_rate.py
 
@@ -24,11 +27,12 @@ Fields are written (p, t), e = 1.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
 from scatpoly import linalg
-from scatpoly.fields import build_field
+from scatpoly.fields import FieldCtx, FieldSpec, build_field
 from scatpoly.linpoly import LinPoly
 from scatpoly.linsets import known_family, subspace_equivalent
 from scatpoly.scattered import (build_psi, is_scattered_fibers, is_scattered_ranks,
@@ -86,6 +90,7 @@ def main():
     finally:
         linalg._modp_ranks = ranks
     _equivalence_rates()
+    _table_builds()
 
 
 def _decision_time(pairs):
@@ -119,6 +124,27 @@ def _equivalence_rates():
     mats = rng.integers(0, 3, size=(100, 48, 16))
     best = _best(lambda: [linalg.modp_rref(m, 3) for m in mats])
     print(f"modp_rref 48 x 16 mod 3: {len(mats) / best:.0f} matrices/s", flush=True)
+
+
+def _table_builds():
+    # both fields are above the eager bound, so a fresh context has no tables
+    line = []
+    for p, t in ((13, 3), (5, 5)):
+        best = float("inf")
+        for _ in range(3):
+            ctx = FieldCtx(FieldSpec(p, 1, t))
+            t0 = time.perf_counter()
+            ctx._build_tables()
+            best = min(best, time.perf_counter() - t0)
+        ctx = FieldCtx(FieldSpec(p, 1, t))
+        tracemalloc.start()
+        try:
+            ctx._build_tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        line.append(f"({p},{t}) {best * 1e3:.0f} ms, peak {peak / ctx.order:.1f} bytes/element")
+    print("tables: " + ", ".join(line), flush=True)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,9 @@ shift sweeps cut by mu_(q+1) and the witness search by rho <-> rho^-1
 (3,4) and (3,2,3): g = mu*f^tau(lam*x), and g = (c + d*F) o (a + b*F)^-1
 with F = f^tau and b nonzero, for tau nonzero, f sparse or of full
 support; and of psi_1 against u2(s, delta) for 20 seeded (s, delta) at
-(3,4).
+(3,4); then the eight vector kernels (vadd, vsub, vneg, vmul, vscale,
+vinv, vfrob for every k < n, vpow_int) on seeded arrays at (3,2,3) and
+(5,4), which read the Zech logs and the q-Frobenius table too.
 New outputs go at the end, so a prefix of the lines keeps its digest as
 the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
@@ -241,6 +243,19 @@ def _lines():
         cert = subspace_equivalent(psi1, known_family(ctx, "u2", s=s, delta=delta))
         yield (f"subspace_equivalent psi_1 u2({s}, {delta}) at (3,4)",
                _json_sha(None if cert is None else cert.to_json()))
+    for name, pet in (("(3,2,3)", (3, 2, 3)), ("(5,4)", (5, 1, 4))):
+        ctx = build_field(*pet)
+        rng = np.random.default_rng(ctx.order + 5)
+        a, b = rng.integers(0, ctx.order, size=(2, 4096))
+        c, m = (int(v) for v in rng.integers(2, ctx.order, size=2))
+        nz = a[a != 0]
+        outs = {"vadd": ctx.vadd(a, b), "vsub": ctx.vsub(a, b), "vneg": ctx.vneg(a),
+                "vmul": ctx.vmul(a, b), f"vscale {c}": ctx.vscale(c, a), "vinv": ctx.vinv(nz),
+                **{f"vfrob {k}": ctx.vfrob(a, k) for k in range(1, ctx.n)},
+                f"vpow_int {m}": ctx.vpow_int(a, m),
+                f"vpow_int {ctx.mult_order - 1}": ctx.vpow_int(a, ctx.mult_order - 1)}
+        for label, out in outs.items():
+            yield f"{label} on seeded arrays at {name}", _sha(out.tobytes())
 
 
 def _inverse(h):
