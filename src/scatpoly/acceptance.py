@@ -60,6 +60,31 @@ class CriterionResult:
                 "failed": list(self.failed)}
 
 
+# -- closed forms -----------------------------------------------------------------
+
+def _gaussian(n: int, r: int, q: int) -> int:
+    """The q-binomial [n, r]_q, the number of r-subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(r):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _delsarte(n: int, q: int, d: int) -> Tuple[int, ...]:
+    """The rank distribution of every MRD code of n x n matrices over GF(q)
+    with minimum distance d (Delsarte 1978), from n, q and d alone:
+    A_0 = 1, A_r = 0 for 0 < r < d, and for r >= d
+    A_r = [n,r]_q * sum_(j=0..r-d) (-1)^j q^(j(j-1)/2) [r,j]_q
+    (q^(n(r-d-j+1)) - 1)."""
+    counts = [1] + [0] * n
+    for r in range(d, n + 1):
+        counts[r] = _gaussian(n, r, q) * sum(
+            (-1) ** j * q ** (j * (j - 1) // 2) * _gaussian(r, j, q)
+            * (q ** (n * (r - d - j + 1)) - 1) for j in range(r - d + 1))
+    return tuple(counts)
+
+
 # -- criteria -------------------------------------------------------------------
 
 def _c_order() -> _Run:
@@ -87,6 +112,10 @@ def _c_grid() -> _Run:
                       scattered.is_scattered_fibers(f).scattered == pred)
             run.check(f"rank checker matches predicate ({q},{t},k={k})",
                       scattered.is_scattered_ranks(f).scattered == pred)
+            if pred:
+                run.check(f"Delsarte's MRD distribution ({q},{t},k={k})",
+                          codes.rank_distribution(codes.build_code(f)).counts
+                          == _delsarte(ctx.n, ctx.q, ctx.n - 1))
         dt = perf_counter() - t0
         if (q, t) in bounds:
             run.check(f"({q},{t}) sweep within {bounds[(q, t)]:.0f}s",
@@ -157,9 +186,14 @@ def _c_mrd() -> _Run:
     run.check("size meets bound with d = n-1",
               c1.size == ctx.q ** (ctx.n * (ctx.n - d + 1))
               and codes.is_mrd(c1))
+    mrd = _delsarte(ctx.n, ctx.q, ctx.n - 1)
+    run.check("distribution is Delsarte's for d = n-1",
+              codes.rank_distribution(c1).counts == mrd)
     c2 = codes.build_code(scattered.build_psi(ctx, 2))
     run.check("second composition fails the bound",
               not codes.is_mrd(c2))
+    run.check("second composition's distribution is not Delsarte's",
+              codes.rank_distribution(c2).counts != mrd)
     run.check("distance block within 30s", perf_counter() - t0 < 30.0)
     return run
 

@@ -4,11 +4,17 @@ The code attached to f is {a*f + b*id : a, b in GF(q^n)}, viewed inside the
 GF(q)-algebra of q-polynomials; distance between codewords is the rank of
 their difference as a GF(q)-linear map. Scalar multiples share a rank, so
 every distance-type quantity is computed over the q^n + 1 projective
-representative classes (1, b) and (0, 1). Idealisers (one-sided stabilizing
-subalgebras) come from an exact GF(p)-nullspace solve in the code's own
-GF(p)-span, never from search; they compose through the GF(p) composition
-matrix L_f of LinPoly and the multiplication matrices M_(p^d), so they need
-no field tables.
+representative classes (1, b) and (0, 1). The rank of f + b*id comes from
+the fibers of x -> f(x)/x (Fact 1): ker(f + b*id) minus 0 is the fiber of
+-b, so one fiber pass of f (LinPoly._fibers) gives every rank, with no
+sweep over the shifts b.
+
+Idealisers (one-sided stabilizing subalgebras) come from an exact
+GF(p)-nullspace solve in the code's own GF(p)-span, never from search;
+they compose through the GF(p) composition matrix L_f of LinPoly and the
+multiplication matrices M_(p^d), so they need no field tables. A code
+keeps what its solves share: its GF(p)-basis V, the membership kernel K
+of V and L_f, as it keeps its rank distribution.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import numpy as np
 
 from .errors import BadHypotheses, CtxMismatch
 from .linpoly import LinPoly, poly_vec, vec_poly
-from .scattered import shift_orbits, shift_ranks
 from . import linalg, linsets
 
 
@@ -29,9 +34,13 @@ from . import linalg, linsets
 
 class RankCode:
     """The two-generator code {a*f + b*id}; degenerate when f is itself a
-    scalar multiple of the identity (the span collapses to one dimension)."""
+    scalar multiple of the identity (the span collapses to one dimension).
 
-    __slots__ = ("ctx", "f", "_dist")
+    Immutable. A code keeps, once computed, its rank distribution
+    (rank_distribution) and the GF(p) data that both idealisers read
+    (_gf_p_basis): the basis V, its membership kernel K and L_f."""
+
+    __slots__ = ("ctx", "f", "_dist", "_basis")
 
     def __init__(self, ctx, f: LinPoly):
         if f.ctx is not ctx:
@@ -39,6 +48,7 @@ class RankCode:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RankCode is immutable")
@@ -94,21 +104,30 @@ class RankDistribution:
 def rank_distribution(code: RankCode) -> RankDistribution:
     """Exact distribution from the projective representatives: each class
     (1, b) or (0, 1) contributes q^n - 1 scalings of one rank, plus the
-    zero word. The rank of f + b*id is constant on the orbits of the
-    shifts b under sigma_d and, where f.support_coset() gives m > 1, the
-    product by mu_G (see scattered.shift_orbits), so one shift per orbit
-    is ranked, a count-sized batch per kernel call, and counted once per
-    element of its orbit: the orbit's size comes by orbit-stabilizer, the
-    group's order over the number of its elements that fix the shift."""
+    zero word. The class (0, 1), the identity, has rank n.
+
+    The rank of f + b*id is read off the fibers of x -> f(x)/x (Fact 1):
+    ker(f + b*id) minus 0 is the fiber of -b. So f + b*id has rank n - k
+    when -b is a value whose fiber has q^k - 1 elements, and rank n when
+    -b is not a value. One LinPoly._fibers pass gives every value's fiber
+    size, (q - 1)*weight for each of the length values of an orbit, and
+    the q^n - n_values shifts whose negatives are not values have rank n,
+    n_values being the sum of the lengths. Kept on the code."""
     if code._dist is None:
         ctx = code.ctx
-        tally = np.zeros(ctx.n + 1, dtype=np.int64)
-        for ms, sizes in shift_orbits(code.f):
-            np.add.at(tally, shift_ranks(code.f, ms), sizes)
+        q, n = ctx.q, ctx.n
+        ctx._need_whole_field()
+        _, lengths, weights = code.f._fibers()
+        # a fiber of q^k - 1 elements, a k-space minus 0, weighs
+        # (q^k - 1)/(q - 1) classes
+        sizes = [(q ** k - 1) // (q - 1) for k in range(n + 1)]
+        tally = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(tally, n - np.searchsorted(sizes, weights), lengths)
+        tally[n] += ctx.order - int(lengths.sum())
         scalings = ctx.order - 1
         counts = [scalings * int(c) for c in tally]
         counts[0] += 1
-        counts[ctx.n] += scalings
+        counts[n] += scalings
         object.__setattr__(code, "_dist", RankDistribution(tuple(counts)))
     return code._dist
 
@@ -189,7 +208,10 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     So phi = y V is solved for in the 2*e*n digits y of its coordinates
     over the code's GF(p)-basis gens = {p^d f, p^d id : d < e*n}, V being
     poly_vec(gens) and K, the nullspace of V, the code's membership
-    kernel. phi lies in the left idealiser iff phi o c stays in C for
+    kernel. V, K and L_f are made once per code and kept on it
+    (_gf_p_basis), so the two sides of one code share them.
+
+    phi lies in the left idealiser iff phi o c stays in C for
     every c in C. phi is GF(q)-linear, so phi o (lam*c) = lam*(phi o c)
     for lam in GF(q), and C is closed under lam*: the GF(q)-basis
     {x^d f, x^d id : d < n} of C suffices (x^d, of index p^d, for d < n
@@ -224,11 +246,7 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
         raise ValueError("side must be 'left' or 'right'")
     ctx = code.ctx
     p, n, en = ctx.p, ctx.n, ctx.en
-    ident = LinPoly.identity(ctx)
-    gens = [g.scale(p ** d) for d in range(en) for g in (code.f, ident)]
-    V = poly_vec(ctx, [g.coeffs for g in gens])
-    K = linalg.modp_nullspace(V, p)
-    L_f = code.f.left_matrix()
+    V, K, L_f = _gf_p_basis(code)
     if side == "left":
         # U[g, c] is poly_vec(f o c) (g = 0) or poly_vec(c) (g = 1) for c in
         # gens[:2n], one row per slot; W[c][:, 2d + g] is poly_vec of
@@ -253,7 +271,8 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
     if check_flags and dim_p:
         # membership in the span of xi: the kernel of its annihilator
         member = linalg.modp_nullspace(xi, p)
-        contains_identity = not (member @ poly_vec(ctx, ident.coeffs) % p).any()
+        # V[1] is poly_vec(id)
+        contains_identity = not (member @ V[1] % p).any()
         C = _structure_constants(ctx, xi)
         closed = not (member @ C % p).any()
         commutative = np.array_equal(C, C.transpose(2, 1, 0))
@@ -263,6 +282,30 @@ def idealiser(code: RankCode, side: str = "left", check_flags: bool = True
                            commutative=commutative,
                            all_invertible=all_invertible,
                            contains_identity=contains_identity)
+
+
+def _gf_p_basis(code: RankCode):
+    """(V, K, L_f) of the code, made on the first call and kept: V is
+    poly_vec of the GF(p)-basis {p^d f, p^d id : d < e*n}, row 2d + g, K
+    the nullspace of V and L_f the composition matrix of f.
+
+    Slot i of poly_vec(p^d f) is the digit vector of p^d * f_i, that is
+    M_(p^d) applied to the digits of f_i, so the f rows are one product of
+    f's digits against the matrices M_(p^d); poly_vec(p^d id) is the unit
+    vector of digit d in slot 0, p^d being the element x^d."""
+    if code._basis is None:
+        ctx = code.ctx
+        p, n, en = ctx.p, ctx.n, ctx.en
+        digs = poly_vec(ctx, code.f.coeffs).reshape(n, en)
+        V = np.zeros((en, 2, n, en), dtype=np.int64)
+        V[:, 0] = digs @ linalg.mult_tensor(ctx).transpose(0, 2, 1) % p
+        V[np.arange(en), 1, 0, np.arange(en)] = 1
+        V = V.reshape(2 * en, n * en)
+        basis = V, linalg.modp_nullspace(V, p), code.f.left_matrix()
+        for a in basis:
+            a.flags.writeable = False
+        object.__setattr__(code, "_basis", basis)
+    return code._basis
 
 
 def _structure_constants(ctx, xi: np.ndarray) -> np.ndarray:

@@ -139,12 +139,14 @@ class LinPoly:
 
     def matrix(self) -> np.ndarray:
         """A_f, the (e*n, e*n) GF(p)-matrix of f on digit vectors: column d
-        holds the base-p digits of f(p^d). Built on the first call and
-        kept, read-only."""
+        holds the base-p digits of f(p^d). It is one contraction of the
+        coefficients' digits against FieldCtx.action_tensor, digit d of
+        c_i weighting slot i*e*n + d, the matrix of y -> x^d * y^(q^i).
+        Built on the first call and kept, read-only."""
         if self._matrix is None:
             ctx = self.ctx
-            A = np.array([ctx.digits(self(ctx.p ** d)) for d in range(ctx.en)],
-                         dtype=np.int64).T
+            digs = linalg.digit_planes(self.coeffs, ctx.p, ctx.en, np.int64)
+            A = np.tensordot(digs.T.ravel(), ctx.action_tensor(), 1) % ctx.p
             A.flags.writeable = False
             object.__setattr__(self, "_matrix", A)
         return self._matrix

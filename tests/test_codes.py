@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatpoly.acceptance import _delsarte
 from scatpoly.errors import BadHypotheses, CtxMismatch
 from scatpoly import linalg
 from scatpoly.fields import build_field
@@ -18,7 +19,7 @@ from scatpoly.codes import (
     rank_distribution,
 )
 from scatpoly.linpoly import LinPoly, poly_vec, vec_poly
-from scatpoly.scattered import build_psi, theorem_predicate
+from scatpoly.scattered import build_psi, shift_orbits, shift_ranks, theorem_predicate
 
 
 def test_code_basics(ctx33):
@@ -79,16 +80,39 @@ def test_rank_distribution_sums_to_code_size(pet, data):
     assert sum(dist.counts[:ctx.n]) - 1 == (ctx.order - 1) * len(f.line_values())
 
 
-def _full_tally(ctx, ranks):
-    """The distribution read off the rank of every shift, with no orbit
-    reduction: q^n - 1 scalings of each class (1, b), the class (0, 1) at
-    full rank, and the zero word."""
-    counts = [0] * (ctx.n + 1)
-    counts[0] = 1
-    for r, c in zip(*np.unique(ranks, return_counts=True)):
-        counts[int(r)] += (ctx.order - 1) * int(c)
+def _class_tally(ctx, tally):
+    """The distribution from tally[r], the number of shifts b of rank r:
+    q^n - 1 scalings of each class (1, b), the class (0, 1) at full rank,
+    and the zero word."""
+    counts = [(ctx.order - 1) * int(c) for c in tally]
+    counts[0] += 1
     counts[ctx.n] += ctx.order - 1
     return tuple(counts)
+
+
+def _full_tally(ctx, ranks):
+    """The distribution read off the rank of every shift, with no orbit
+    reduction."""
+    return _class_tally(ctx, np.bincount(ranks, minlength=ctx.n + 1))
+
+
+def _swept_tally(f):
+    """The distribution from the shift sweep: one shift per orbit under
+    sigma_d and mu_G (shift_orbits) is ranked, and counted once per element
+    of its orbit, the orbit's size coming by orbit-stabilizer."""
+    tally = np.zeros(f.ctx.n + 1, dtype=np.int64)
+    for ms, sizes in shift_orbits(f):
+        np.add.at(tally, shift_ranks(f, ms), sizes)
+    return _class_tally(f.ctx, tally)
+
+
+def _assert_three_tallies(f, full_shift_ranks, label=None):
+    # the fiber tally of rank_distribution, the orbit sweep and the rank
+    # of every shift
+    ctx = f.ctx
+    got = rank_distribution(build_code(f)).counts
+    assert got == _swept_tally(f), label
+    assert got == _full_tally(ctx, full_shift_ranks(f)), label
 
 
 @pytest.mark.parametrize("fixture,ds", [("ctx33", (1, 2, 3, 6)), ("ctx53", (1, 2, 3, 6)),
@@ -105,18 +129,20 @@ def test_rank_distribution_matches_the_full_shift_tally(fixture, ds, request, fu
         maps.append(LinPoly(ctx, [ctx.gen_power(int(j) * s) for j in js]))
         assert d % maps[-1].coeff_degree() == 0
     for f in maps:
-        assert rank_distribution(build_code(f)).counts == _full_tally(ctx, full_shift_ranks(f))
+        _assert_three_tallies(f, full_shift_ranks, f)
 
 
 @pytest.mark.parametrize("fixture", ["ctx33", "ctx53", "ctx34", "ctx923"])
 def test_rank_distribution_on_cut_maps_matches_the_full_shift_tally(fixture, request,
                                                                     full_shift_ranks, cut_maps):
-    # the shifts swept by orbits of sigma_d and mu_G, each counted by its
-    # orbit-stabilizer size, against the rank of every shift
+    # the maps on which the shift sweep cuts by sigma_d and mu_G, and the
+    # zero map (one fiber, the kernel, of every nonzero x), 2*id (one
+    # value) and x + x^(q^t) (whose kernel is W): the three tallies agree
     ctx = request.getfixturevalue(fixture)
-    for label, f in cut_maps(ctx).items():
-        assert rank_distribution(build_code(f)).counts == _full_tally(ctx, full_shift_ranks(f)), \
-            label
+    maps = {**cut_maps(ctx), "0": LinPoly.zero(ctx), "2*id": LinPoly.monomial(ctx, 2, 0),
+            "x + x^(q^t)": LinPoly.identity(ctx) + LinPoly.monomial(ctx, 1, ctx.t)}
+    for label, f in maps.items():
+        _assert_three_tallies(f, full_shift_ranks, label)
 
 
 def test_min_distance_known_values(ctx33, ctx53):
@@ -139,6 +165,22 @@ def test_mrd_iff_scattered(ctx33, ctx34):
             assert is_mrd(code) == theorem_predicate(ctx, k)
 
 
+@pytest.mark.parametrize("fixture", ["ctx33", "ctx53", "ctx34", "ctx923"])
+def test_mrd_codes_have_delsartes_distribution(fixture, request, cut_maps):
+    # an MRD code's distribution depends on n, q and d alone (Delsarte
+    # 1978); among the maps are MRD codes (the scattered psi_k, x^q) and
+    # codes of distance below n - 1 (x^(q^2) at n = 6, the odd maps)
+    ctx = request.getfixturevalue(fixture)
+    mrd = _delsarte(ctx.n, ctx.q, ctx.n - 1)
+    assert sum(mrd) == ctx.q ** (2 * ctx.n)
+    kinds = set()
+    for label, f in cut_maps(ctx).items():
+        code = build_code(f)
+        kinds.add(is_mrd(code))
+        assert (rank_distribution(code).counts == mrd) == is_mrd(code), label
+    assert kinds == {True, False}
+
+
 def test_degenerate_code_distance(ctx33):
     code = build_code(LinPoly.monomial(ctx33, 2, 0))
     dist = rank_distribution(code)
@@ -147,11 +189,16 @@ def test_degenerate_code_distance(ctx33):
     assert not is_mrd(code)
 
 
-def test_adjoint_code_preserves_distribution(ctx33):
-    code = build_code(build_psi(ctx33, 2))
-    adj = adjoint_code(code)
-    assert rank_distribution(adj).counts == rank_distribution(code).counts
-    assert adjoint_code(adj) == code
+def test_adjoint_code_preserves_distribution(ctx33, ctx53, ctx34, ctx923, cut_maps):
+    # under the trace form x -> c*x is its own adjoint, so f + c*id and
+    # f^ + c*id are transposes, of one rank for every c: the adjoint code
+    # has the same distribution (Sheekey 2016)
+    for ctx in (ctx33, ctx53, ctx34, ctx923):
+        for label, f in cut_maps(ctx).items():
+            code = build_code(f)
+            adj = adjoint_code(code)
+            assert rank_distribution(adj).counts == rank_distribution(code).counts, label
+            assert adjoint_code(adj) == code, label
 
 
 def test_code_equivalent_scaling(ctx33):

@@ -94,6 +94,26 @@ def test_matrix_and_coeff_degree_are_kept(ctx33):
         f._matrix = None
 
 
+def _matrix_by_columns(f):
+    """A_f column by column: column d holds the digits of f(p^d)."""
+    ctx = f.ctx
+    return np.array([ctx.digits(f(ctx.p ** d)) for d in range(ctx.en)], dtype=np.int64).T
+
+
+@pytest.mark.parametrize("fixture", ["ctx33", "ctx53", "ctx34", "ctx923"])
+def test_matrix_matches_the_images_of_the_digit_basis(fixture, request):
+    # the contraction against the action tensor against f at each x^d
+    ctx = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(ctx.order + 7)
+    maps = [build_psi(ctx, k) for k in range(1, ctx.n)]
+    maps += [_rand_poly(ctx, rng) for _ in range(6)]
+    maps += [LinPoly.zero(ctx), LinPoly.monomial(ctx, 2, 0),
+             LinPoly.monomial(ctx, ctx.omega, ctx.n - 1)]
+    for f in maps:
+        A = f.matrix()
+        assert A.dtype == np.int64 and np.array_equal(A, _matrix_by_columns(f)), f
+
+
 def test_ctx_mismatch(ctx33, ctx53):
     with pytest.raises(CtxMismatch):
         LinPoly.identity(ctx33) + LinPoly.identity(ctx53)

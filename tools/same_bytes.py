@@ -39,7 +39,10 @@ with F = f^tau and b nonzero, for tau nonzero, f sparse or of full
 support; and of psi_1 against u2(s, delta) for 20 seeded (s, delta) at
 (3,4); then the eight vector kernels (vadd, vsub, vneg, vmul, vscale,
 vinv, vfrob for every k < n, vpow_int) on seeded arrays at (3,2,3) and
-(5,4), which read the Zech logs and the q-Frobenius table too.
+(5,4), which read the Zech logs and the q-Frobenius table too; then
+`rank_distribution` of the zero map, 2*id, x + x^(q^t) and two seeded
+sparse maps at (5,3) and (3,2,3), and `code-report` for k = 1, 2 at
+(7,4), a field above the eager table bound.
 New outputs go at the end, so a prefix of the lines keeps its digest as
 the list grows.
 Fields are written (p, t) for e = 1 and (p, e, t) otherwise.
@@ -256,6 +259,22 @@ def _lines():
                 f"vpow_int {ctx.mult_order - 1}": ctx.vpow_int(a, ctx.mult_order - 1)}
         for label, out in outs.items():
             yield f"{label} on seeded arrays at {name}", _sha(out.tobytes())
+    for name, pet in (("(5,3)", (5, 1, 3)), ("(3,2,3)", (3, 2, 3))):
+        ctx = build_field(*pet)
+        maps = {"0": LinPoly.zero(ctx), "2*id": LinPoly.monomial(ctx, 2, 0),
+                "x + x^(q^t)": LinPoly.identity(ctx) + LinPoly.monomial(ctx, 1, ctx.t)}
+        rng = np.random.default_rng(ctx.order + 6)
+        for _ in range(2):
+            coeffs = [0] * ctx.n
+            for slot in rng.choice(ctx.n, size=2, replace=False):
+                coeffs[int(slot)] = int(rng.integers(1, ctx.order))
+            maps[f"sparse map {coeffs}"] = LinPoly(ctx, coeffs)
+        for label, f in maps.items():
+            yield (f"rank_distribution {label} at {name}",
+                   _json_sha(codes.rank_distribution(codes.build_code(f)).to_json()))
+    for k in (1, 2):
+        argv = ["code-report", *_field_args((7, 1, 4)), "--k", str(k)]
+        yield " ".join(argv), _cli(argv)
 
 
 def _inverse(h):
